@@ -55,8 +55,8 @@ class Subspace:
     operations work on these integer rows throughout.  ``basis`` builds the
     RREF Matrix of Scalars from them on each access.
 
-    Construct through :func:`span` (or the classmethods) rather than
-    directly; the constructor trusts its RREF ``basis`` to be canonical.
+    ``Subspace(space_dim, basis)`` is the row space of ``basis``: any
+    spanning rows, reduced to the canonical form on construction.
     """
 
     __slots__ = ("space_dim", "rows")
@@ -64,10 +64,8 @@ class Subspace:
     def __init__(self, space_dim: int, basis: Matrix):
         if basis.ncols != space_dim:
             raise ValueError(f"basis width {basis.ncols} != space_dim {space_dim}")
-        if basis.nrows > space_dim:
-            raise ValueError("basis has more rows than the space dimension")
         self.space_dim = space_dim
-        self.rows = tuple(tuple(_integer_row(row)) for row in basis.rows)
+        self.rows = _canonical([_integer_row(row)[0] for row in basis.rows], space_dim).rows
 
     @classmethod
     def _from_rows(cls, space_dim: int, rows) -> "Subspace":
@@ -79,11 +77,14 @@ class Subspace:
 
     @classmethod
     def zero(cls, space_dim: int) -> "Subspace":
-        return cls(space_dim, Matrix((), ncols=space_dim))
+        return cls._from_rows(space_dim, ())
 
     @classmethod
     def full(cls, space_dim: int) -> "Subspace":
-        return cls(space_dim, Matrix.identity(space_dim))
+        return cls._from_rows(
+            space_dim,
+            ([1 if j == 2 * i else 0 for j in range(2 * space_dim)] for i in range(space_dim)),
+        )
 
     @property
     def basis(self) -> Matrix:
@@ -104,7 +105,7 @@ class Subspace:
         """Exact membership test (the zero vector belongs to every subspace)."""
         if v.dim != self.space_dim:
             raise ValueError(f"vector dim {v.dim} != space_dim {self.space_dim}")
-        stacked = [list(row) for row in self.rows] + [_integer_row(v.entries)]
+        stacked = [list(row) for row in self.rows] + [_integer_row(v.entries)[0]]
         return len(_reduce(stacked, self.space_dim)) == self.dim
 
     def __and__(self, other):
@@ -149,7 +150,7 @@ def span(vectors, space_dim: int) -> Subspace:
     for v in vectors:
         if v.dim != space_dim:
             raise ValueError(f"vector dim {v.dim} != space_dim {space_dim}")
-    return _canonical([_integer_row(v.entries) for v in vectors], space_dim)
+    return _canonical([_integer_row(v.entries)[0] for v in vectors], space_dim)
 
 
 def ortho(s: Subspace) -> Subspace:
@@ -225,7 +226,7 @@ def random_subspace(rng: random.Random, space_dim: int, field: str = GAUSSIAN_RA
                 re = _random_rational(rng)
                 im = _random_rational(rng) if gaussian else 0
                 row.append(Scalar(re, im))
-            rows.append(_integer_row(row))
+            rows.append(_integer_row(row)[0])
         candidate = _canonical(rows, space_dim)
         if candidate.dim == k:
             return candidate

@@ -5,6 +5,11 @@ kept in canonical reduced form, so subspace equality, Born probabilities
 and expectation values downstream are all decidable exactly.  No operation
 in this module introduces a tolerance.
 
+The hot paths run fraction-free: row reduction, ``inner`` and
+``Matrix @ Vector`` work on rows flattened to Gaussian integers over one
+common denominator (``_integer_row``) and build one ``Fraction`` per part
+of what they return.
+
 Values (Scalar, Vector, Matrix) are immutable after construction and safe
 to share between concurrent tasks.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Rational = Fraction
 
@@ -44,9 +50,10 @@ class ScalarParseError(ValueError):
     """A scalar literal does not match the wire grammar."""
 
 
-def _to_rational(value):
+def _to_rational(value, what="scalar parts"):
+    """``value`` as a Rational; floats are refused, since they are not exact."""
     if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}: scalar parts must be exact rationals")
+        raise TypeError(f"refusing float {value!r}: {what} must be exact rationals")
     return Rational(value)
 
 
@@ -120,6 +127,11 @@ def _scalar(re, im) -> Scalar:
     z.re = re
     z.im = im
     return z
+
+
+def _scalar_over(re: int, im: int, den: int) -> Scalar:
+    # (re + im*i) / den for ints, den > 0: one Fraction per nonzero part
+    return _scalar(Fraction(re, den) if re else RAT_ZERO, Fraction(im, den) if im else RAT_ZERO)
 
 
 SC_ZERO = Scalar(0)
@@ -288,13 +300,12 @@ def _same_dim(a: int, b: int):
 def inner(v: Vector, w: Vector) -> Scalar:
     """Hermitian inner product, conjugate-linear in the FIRST argument."""
     _same_dim(v.dim, w.dim)
-    re = RAT_ZERO
-    im = RAT_ZERO
-    for a, b in zip(v.entries, w.entries):
-        # conj(a) * b
-        re += a.re * b.re + a.im * b.im
-        im += a.re * b.im - a.im * b.re
-    return _scalar(re, im)
+    x, dx = _integer_row(v.entries)
+    y, dy = (x, dx) if w is v else _integer_row(w.entries)
+    # conj(a) * b, summed: the real part pairs like parts, the imaginary part crosses them
+    re = sum(map(mul, x, y))
+    im = sum(map(mul, x[::2], y[1::2])) - sum(map(mul, x[1::2], y[::2]))
+    return _scalar_over(re, im, dx * dy)
 
 
 def outer(v: Vector, w: Vector) -> "Matrix":
@@ -308,10 +319,11 @@ def outer(v: Vector, w: Vector) -> "Matrix":
 class Matrix:
     """Immutable rectangular matrix of Scalars (zero rows allowed)."""
 
-    __slots__ = ("rows", "_ncols")
+    __slots__ = ("rows", "_ncols", "_int")
 
     def __init__(self, rows, ncols: int | None = None):
         self.rows = tuple(tuple(_as_scalar(e) for e in row) for row in rows)
+        self._int = None  # (re parts, im parts, scale) per row, filled on first matvec
         if self.rows:
             widths = {len(r) for r in self.rows}
             if len(widths) != 1:
@@ -397,12 +409,19 @@ class Matrix:
     def __matmul__(self, other):
         if isinstance(other, Vector):
             _same_dim(self._ncols, other.dim)
-            return Vector(
-                tuple(
-                    sum((a * b for a, b in zip(row, other.entries)), SC_ZERO)
-                    for row in self.rows
+            if self._int is None:
+                self._int = tuple(
+                    (ints[::2], ints[1::2], scale) for ints, scale in map(_integer_row, self.rows)
                 )
-            )
+            x, dx = _integer_row(other.entries)
+            xre, xim = x[::2], x[1::2]
+            out = []
+            for are, aim, scale in self._int:
+                # (a + bi)(c + di) = (ac - bd) + (ad + bc)i, summed along the row
+                re = sum(map(mul, are, xre)) - sum(map(mul, aim, xim))
+                im = sum(map(mul, are, xim)) + sum(map(mul, aim, xre))
+                out.append(_scalar_over(re, im, scale * dx))
+            return Vector(out)
         if isinstance(other, Matrix):
             _same_dim(self._ncols, other.nrows)
             cols = other._ncols
@@ -464,11 +483,15 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _integer_row(row) -> list:
-    """Flattened Gaussian-integer multiple of a row of Scalars."""
+def _integer_row(row) -> tuple:
+    """``(ints, scale)``: a row of Scalars as flattened Gaussian integers over one denominator.
+
+    ``scale`` is the lcm of the denominators of all parts, so the row equals
+    ``ints / scale`` part by part.
+    """
     parts = [x for e in row for x in (e.re, e.im)]
     scale = lcm(*[x.denominator for x in parts])
-    return [x.numerator * (scale // x.denominator) for x in parts]
+    return [x.numerator * (scale // x.denominator) for x in parts], scale
 
 
 def _primitive(row) -> list:
@@ -565,18 +588,18 @@ def _matrix(rows, ncols) -> Matrix:
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form: unit pivots, cleared pivot columns, zero rows last."""
-    rows = [_integer_row(row) for row in m.rows]
+    rows = [_integer_row(row)[0] for row in m.rows]
     _reduce(rows, m.ncols)
     return _matrix(rows, m.ncols)
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce([_integer_row(row) for row in m.rows], m.ncols))
+    return len(_reduce([_integer_row(row)[0] for row in m.rows], m.ncols))
 
 
 def nullspace(m: Matrix) -> Matrix:
     """RREF basis (as rows) of ``{x : m @ x = 0}``; has ncols - rank rows."""
-    rows = [_integer_row(row) for row in m.rows]
+    rows = [_integer_row(row)[0] for row in m.rows]
     pivot_cols = _reduce(rows, m.ncols)
     return _matrix(_null_rows(rows, pivot_cols, m.ncols), m.ncols)
 

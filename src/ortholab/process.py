@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     Rational,
     Vector,
+    _to_rational,
     inner,
     matrix_from_json,
     matrix_to_json,
@@ -66,12 +67,6 @@ __all__ = [
 ]
 
 
-def _to_rational(value):
-    if isinstance(value, float):
-        raise TypeError("probabilities and outcome values must be exact rationals")
-    return Rational(value)
-
-
 @dataclass(frozen=True)
 class Outcome:
     label: str
@@ -79,7 +74,7 @@ class Outcome:
     projector: Matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _to_rational(self.value))
+        object.__setattr__(self, "value", _to_rational(self.value, "outcome values"))
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,9 @@ class ClassicalStep:
     def __post_init__(self):
         normalized = {}
         for source, transitions in self.kernel.items():
-            row = tuple((str(target), _to_rational(p)) for target, p in transitions)
+            row = tuple(
+                (str(target), _to_rational(p, "probabilities")) for target, p in transitions
+            )
             total = Rational(0)
             for _, p in row:
                 if p < 0:
@@ -240,20 +237,29 @@ def _validate_process(stages):
 
 
 def run(stages) -> tuple:
-    """Enumerate all branches; histories in depth-first outcome order."""
+    """Enumerate all branches; histories in depth-first outcome order.
+
+    The walk keeps an explicit stack, so a process may have any number of
+    stages.  Histories that share a prefix share its TraceEntry objects.
+    """
     stages = tuple(stages)
     _validate_process(stages)
     histories = []
-
-    def walk(idx, state, probability, trace):
+    trace = []  # the entries of the branch being walked, one per stage so far
+    # each frame: (stage to run next, state, probability, entry for the stage before it)
+    stack = [(0, None, Rational(1), None)]
+    while stack:
+        idx, state, probability, entry = stack.pop()
+        if entry is not None:
+            del trace[idx - 1 :]
+            trace.append(entry)
         if idx == len(stages):
             histories.append(History(probability, tuple(trace)))
-            return
+            continue
         st = stages[idx]
+        children = []  # (state, probability, outcome) after this stage, in outcome order
         if isinstance(st, Prepare):
-            trace.append(TraceEntry(idx, "-", st.state))
-            walk(idx + 1, st.state, probability, trace)
-            trace.pop()
+            children.append((st.state, probability, "-"))
         elif isinstance(st, Measure):
             norm = inner(state, state).re
             for out in st.observable.outcomes:
@@ -261,20 +267,13 @@ def run(stages) -> tuple:
                 weight = inner(state, post).re / norm
                 if weight == 0:
                     continue
-                trace.append(TraceEntry(idx, out.label, post))
-                walk(idx + 1, post, probability * weight, trace)
-                trace.pop()
+                children.append((post, probability * weight, out.label))
         elif isinstance(st, ConditionalUnitary):
             cond = st.condition
             applies = trace[cond.stage].outcome == cond.label
-            after = st.matrix @ state if applies else state
-            trace.append(TraceEntry(idx, "-", after))
-            walk(idx + 1, after, probability, trace)
-            trace.pop()
+            children.append((st.matrix @ state if applies else state, probability, "-"))
         elif isinstance(st, ClassicalPrepare):
-            trace.append(TraceEntry(idx, "-", st.point))
-            walk(idx + 1, st.point, probability, trace)
-            trace.pop()
+            children.append((st.point, probability, "-"))
         elif isinstance(st, ClassicalStep):
             row = st.kernel.get(state)
             if row is None:
@@ -282,13 +281,12 @@ def run(stages) -> tuple:
             for target, p in row:
                 if p == 0:
                     continue
-                trace.append(TraceEntry(idx, target, target))
-                walk(idx + 1, target, probability * p, trace)
-                trace.pop()
+                children.append((target, probability * p, target))
         else:  # pragma: no cover
             raise TypeError(f"unknown stage {st!r}")
-
-    walk(0, None, Rational(1), [])
+        # pushed last-first, so the first outcome is walked first
+        for after, p, outcome in reversed(children):
+            stack.append((idx + 1, after, p, TraceEntry(idx, outcome, after)))
     return tuple(histories)
 
 
@@ -359,36 +357,61 @@ NEVER = Truth(False)
 
 def evaluate_in(formula: Formula, history: History) -> bool:
     """Truth value of a stage-indexed formula in one history."""
+    return _evaluate(formula, history, None)
+
+
+def _evaluate(formula, history, memo):
+    """``evaluate_in``; with a dict as ``memo``, each atom is evaluated once per trace entry.
+
+    ``memo`` is keyed on ``(id(atom), id(entry))``: ``run`` shares each
+    TraceEntry between all the histories through it, so the queries below
+    evaluate an atom once per distinct entry rather than once per history.
+    Each value pins its entry, so an id cannot be reused while the memo
+    lives.  Only atoms are memoised; connectives are always recomputed.
+    """
     if isinstance(formula, Truth):
         return formula.value
     if isinstance(formula, Atom):
         state = history.state_at(formula.stage)
-        if isinstance(state, str):
-            if not isinstance(formula.test, PointIs):
-                raise TypeError("classical history states need PointIs atoms")
-            return state == formula.test.point
-        if isinstance(formula.test, PointIs):
-            raise TypeError("PointIs atoms only apply to classical histories")
-        return evaluate(formula.test, state)
+        if memo is None:
+            return _atom_holds(formula, state)
+        entry = history.trace[formula.stage]
+        key = (id(formula), id(entry))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (entry, _atom_holds(formula, state))
+        return hit[1]
     if isinstance(formula, Conjunction):
-        return all(evaluate_in(c, history) for c in formula.children)
+        return all(_evaluate(c, history, memo) for c in formula.children)
     if isinstance(formula, Disjunction):
-        return any(evaluate_in(c, history) for c in formula.children)
+        return any(_evaluate(c, history, memo) for c in formula.children)
     if isinstance(formula, Negation):
-        return not evaluate_in(formula.child, history)
+        return not _evaluate(formula.child, history, memo)
     raise TypeError(f"not a formula node: {formula!r}")
+
+
+def _atom_holds(atom: Atom, state) -> bool:
+    if isinstance(state, str):
+        if not isinstance(atom.test, PointIs):
+            raise TypeError("classical history states need PointIs atoms")
+        return state == atom.test.point
+    if isinstance(atom.test, PointIs):
+        raise TypeError("PointIs atoms only apply to classical histories")
+    return evaluate(atom.test, state)
 
 
 def holds_surely(formula: Formula, histories) -> bool:
     """True iff the formula holds in every positive-probability history."""
-    return all(evaluate_in(formula, h) for h in histories)
+    memo = {}
+    return all(_evaluate(formula, h, memo) for h in histories)
 
 
 def prob_of(formula: Formula, histories):
     """Exact probability mass of the histories where the formula is true."""
+    memo = {}
     total = Rational(0)
     for h in histories:
-        if evaluate_in(formula, h):
+        if _evaluate(formula, h, memo):
             total += h.probability
     return total
 
@@ -447,8 +470,9 @@ class DistributivityVerdict:
 
 
 def check_distributivity(left: Formula, right: Formula, histories) -> DistributivityVerdict:
-    lvals = tuple(evaluate_in(left, h) for h in histories)
-    rvals = tuple(evaluate_in(right, h) for h in histories)
+    memo = {}
+    lvals = tuple(_evaluate(left, h, memo) for h in histories)
+    rvals = tuple(_evaluate(right, h, memo) for h in histories)
     return DistributivityVerdict(
         left_true_in_all=all(lvals),
         left_false_in_all=not any(lvals),

@@ -18,6 +18,7 @@ from .linalg import (
     Rational,
     Scalar,
     Vector,
+    _to_rational,
     inner,
     matrix_from_json,
     matrix_to_json,
@@ -48,12 +49,8 @@ __all__ = [
 ]
 
 
-def _to_rational_or_none(value):
-    if value is None:
-        return None
-    if isinstance(value, float):
-        raise TypeError("interval endpoints must be exact rationals")
-    return Rational(value)
+def _endpoint(value):
+    return None if value is None else _to_rational(value, "interval endpoints")
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,8 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _to_rational_or_none(self.lo))
-        object.__setattr__(self, "hi", _to_rational_or_none(self.hi))
+        object.__setattr__(self, "lo", _endpoint(self.lo))
+        object.__setattr__(self, "hi", _endpoint(self.hi))
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
@@ -177,6 +174,12 @@ def expectation(observable: Matrix, state: Vector):
         raise ValueError("expectation is undefined on the zero vector")
     if not observable.is_hermitian():
         raise ValueError("expectation needs a hermitian observable")
+    return _expectation(observable, state)
+
+
+def _expectation(observable: Matrix, state: Vector):
+    # expectation() without its checks on the state and the observable, for
+    # callers that made them already (ExpectationIn checks its observable once)
     if observable.ncols != state.dim:
         raise ValueError(f"dimension mismatch: {observable.ncols} vs {state.dim}")
     num = inner(state, observable @ state)
@@ -199,7 +202,7 @@ def _eval(prop, state):
     if isinstance(prop, InSubspace):
         return prop.subspace.contains(state)
     if isinstance(prop, ExpectationIn):
-        value = expectation(prop.observable, state)
+        value = _expectation(prop.observable, state)
         return any(w.contains(value) for w in prop.windows)
     if isinstance(prop, EqualsVector):
         if prop.vector.dim != state.dim:

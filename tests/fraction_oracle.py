@@ -1,17 +1,19 @@
-"""The original ``fractions.Fraction`` row-reduction kernel, kept as an oracle.
+"""The original ``fractions.Fraction`` kernel and vector arithmetic, kept as an oracle.
 
 ``_rref_in_place`` and its two helpers are copied verbatim from the kernel
 that ``ortholab.linalg`` used before it moved to fraction-free elimination
 over the Gaussian integers.  The ``oracle_*`` functions rebuild the public
 ``rref``/``rank``/``nullspace`` and the lattice operations (on RREF basis
 matrices) on top of it, exactly as they were, so tests can check that the
-integer kernel changes no exact answer.
+integer kernel changes no exact answer.  ``oracle_inner`` and
+``oracle_matvec`` are ``inner`` and ``Matrix @ Vector`` as they were before
+they too moved to Gaussian integers, with their bodies copied verbatim.
 """
 
 from fractions import Fraction
 
-from ortholab.linalg import Matrix
-from ortholab.linalg import _scalar
+from ortholab.linalg import SC_ZERO, Matrix, Vector
+from ortholab.linalg import _same_dim, _scalar
 
 RAT_ZERO = Fraction(0)
 RAT_ONE = Fraction(1)
@@ -134,3 +136,29 @@ def oracle_meet(s: Matrix, t: Matrix) -> Matrix:
 
 def oracle_leq(s: Matrix, t: Matrix) -> bool:
     return oracle_rank(Matrix(s.rows + t.rows, ncols=s.ncols)) == t.nrows
+
+
+# Vector arithmetic on Fraction-pair Scalars.
+
+
+def oracle_inner(v: Vector, w: Vector):
+    """Hermitian inner product, conjugate-linear in the FIRST argument."""
+    _same_dim(v.dim, w.dim)
+    re = RAT_ZERO
+    im = RAT_ZERO
+    for a, b in zip(v.entries, w.entries):
+        # conj(a) * b
+        re += a.re * b.re + a.im * b.im
+        im += a.re * b.im - a.im * b.re
+    return _scalar(re, im)
+
+
+def oracle_matvec(self: Matrix, other: Vector) -> Vector:
+    """``self @ other`` for a Vector ``other``."""
+    _same_dim(self._ncols, other.dim)
+    return Vector(
+        tuple(
+            sum((a * b for a, b in zip(row, other.entries)), SC_ZERO)
+            for row in self.rows
+        )
+    )

@@ -1,6 +1,7 @@
 import pytest
 
 from ortholab import (
+    Matrix,
     Subspace,
     check_orthomodular,
     distributes,
@@ -29,6 +30,31 @@ Y_AXIS = span([vec(0, 1)], 2)
 DIAGONAL = span([vec(1, 1)], 2)
 FULL2 = Subspace.full(2)
 ZERO2 = Subspace.zero(2)
+
+
+class TestConstructor:
+    def test_basis_is_canonicalised(self):
+        s = Subspace(2, Matrix([[2, 2]]))
+        assert s == DIAGONAL and hash(s) == hash(DIAGONAL)
+        assert s.basis == DIAGONAL.basis
+        assert Subspace(2, Matrix([["1/2", "i"]])) == span([vec(1, "2i")], 2)
+
+    def test_any_spanning_rows(self):
+        assert Subspace(2, Matrix([[1, 1], [2, 2]])) == DIAGONAL
+        assert Subspace(2, Matrix([[1, 0], [0, 1], [1, 1]])) == FULL2
+        assert Subspace(3, Matrix([[0, 0, 0]])) == Subspace.zero(3)
+        assert Subspace(2, Matrix((), ncols=2)) == ZERO2
+
+    def test_zero_and_full(self):
+        for n in range(1, 5):
+            rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            assert Subspace.full(n) == span([vec(*row) for row in rows], n)
+            assert Subspace.full(n).is_full() and Subspace.full(n).dim == n
+            assert Subspace.zero(n) == span([], n) and Subspace.zero(n).is_zero()
+
+    def test_width_must_match(self):
+        with pytest.raises(ValueError, match="basis width"):
+            Subspace(3, Matrix([[1, 0]]))
 
 
 class TestSpan:

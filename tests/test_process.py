@@ -2,21 +2,24 @@ from fractions import Fraction
 
 import pytest
 
-from ortholab import span, vec
+from ortholab import process, span, vec
 from ortholab.lattice import substream
 from ortholab.linalg import Matrix, Rational, inner
 from ortholab.process import (
     ALWAYS,
+    NEVER,
     Atom,
     ClassicalPrepare,
     ClassicalStep,
     ConditionalUnitary,
+    History,
     Measure,
     Observable,
     Outcome,
     OutcomeIs,
     PointIs,
     Prepare,
+    TraceEntry,
     check_distributivity,
     evaluate_in,
     hatch_demo,
@@ -29,10 +32,31 @@ from ortholab.process import (
     spin_demo,
     spin_observable,
 )
-from ortholab.propositions import InSubspace
-from ortholab.spin import PROJ_Z_UP, X_UP, Y_DOWN, Y_UP
+from ortholab.propositions import EqualsVector, ExpectationIn, InSubspace, Interval
+from ortholab.spin import (
+    PROJ_Z_UP,
+    SPIN_X,
+    SPIN_Y,
+    SPIN_Z,
+    X_DOWN,
+    X_UP,
+    Y_DOWN,
+    Y_UP,
+    Z_DOWN,
+    Z_UP,
+)
 
 HALF = Fraction(1, 2)
+
+# y splits x-up evenly; the y- branch is then rotated onto x-up, so x has a
+# single outcome there and two on the y+ branch; z splits every branch
+THREE_MEASUREMENTS = (
+    Prepare(X_UP),
+    Measure(spin_observable("y")),
+    ConditionalUnitary(OutcomeIs(1, "y-"), Matrix.diagonal(1, "i")),
+    Measure(spin_observable("x")),
+    Measure(spin_observable("z")),
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +151,38 @@ class TestRun:
     def test_zero_probability_branches_pruned(self):
         histories = run((Prepare(Y_UP), Measure(spin_observable("y"))))
         assert len(histories) == 1
+
+    def test_long_process_runs_without_recursion(self):
+        # more stages than the interpreter's default recursion limit
+        stages = (Prepare(X_UP),) + (Measure(spin_observable("z")),) * 1499
+        histories = run(stages)
+        assert [h.probability for h in histories] == [HALF, HALF]
+        assert [len(h.trace) for h in histories] == [1500, 1500]
+        assert [h.trace[-1].outcome for h in histories] == ["z+", "z-"]
+        z_up = Atom(InSubspace(span([vec(1, 0)], 2)), 1499)
+        assert prob_of(z_up, histories) == HALF
+
+    def test_history_order_with_conditional_unitary(self):
+        histories = run(THREE_MEASUREMENTS)
+        got = [(tuple(t.outcome for t in h.trace), h.probability) for h in histories]
+        eighth, quarter = Fraction(1, 8), Fraction(1, 4)
+        assert got == [
+            (("-", "y+", "-", "x+", "z+"), eighth),
+            (("-", "y+", "-", "x+", "z-"), eighth),
+            (("-", "y+", "-", "x-", "z+"), eighth),
+            (("-", "y+", "-", "x-", "z-"), eighth),
+            (("-", "y-", "-", "x+", "z+"), quarter),
+            (("-", "y-", "-", "x+", "z-"), quarter),
+        ]
+
+    def test_histories_share_the_entries_of_a_common_prefix(self):
+        histories = run(THREE_MEASUREMENTS)
+        first, second, fifth = histories[0], histories[1], histories[4]
+        for k in range(4):
+            assert first.trace[k] is second.trace[k]
+        assert first.trace[4] is not second.trace[4]
+        assert first.trace[0] is fifth.trace[0]
+        assert first.trace[1] is not fifth.trace[1]
 
 
 class TestProcessValidation:
@@ -341,3 +397,159 @@ class TestJson:
         _, _, histories = hatch
         data = histories_to_json(histories)
         assert data[0]["trace"][1]["state"] == "q"
+
+
+# ---------------------------------------------------------------------------
+# The queries' per-call atom memo.  prob_of, holds_surely and
+# check_distributivity evaluate each atom once per distinct trace entry;
+# every answer must equal the one evaluate_in gives history by history, with
+# no memo.
+# ---------------------------------------------------------------------------
+
+
+def _quantum_tests():
+    rays = [InSubspace(span([v], 2)) for v in (X_UP, X_DOWN, Y_UP, Y_DOWN, Z_UP, Z_DOWN)]
+    windows = (Interval.point(HALF), Interval(None, 0, True, False))
+    values = [ExpectationIn(op, (w,)) for op in (SPIN_X, SPIN_Y, SPIN_Z) for w in windows]
+    return rays + values + [EqualsVector(X_UP), EqualsVector(vec("1/2", "1/2"))]
+
+
+def _random_formula(rng, atoms, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(atoms) if rng.random() < 0.95 else rng.choice((ALWAYS, NEVER))
+    if roll < 0.55:
+        return _random_formula(rng, atoms, depth - 1) & _random_formula(rng, atoms, depth - 1)
+    if roll < 0.8:
+        return _random_formula(rng, atoms, depth - 1) | _random_formula(rng, atoms, depth - 1)
+    return ~_random_formula(rng, atoms, depth - 1)
+
+
+def _assert_queries_match_oracle(left, right, histories):
+    lvals = tuple(evaluate_in(left, h) for h in histories)
+    rvals = tuple(evaluate_in(right, h) for h in histories)
+    mass = sum((h.probability for h, x in zip(histories, lvals) if x), Fraction(0))
+    assert prob_of(left, histories) == mass
+    assert holds_surely(left, histories) == all(lvals)
+    verdict = check_distributivity(left, right, histories)
+    assert verdict.per_history == tuple(zip(lvals, rvals))
+    assert (
+        verdict.left_true_in_all,
+        verdict.left_false_in_all,
+        verdict.right_true_in_all,
+        verdict.right_false_in_all,
+    ) == (all(lvals), not any(lvals), all(rvals), not any(rvals))
+    return verdict
+
+
+def _random_quantum_process(rng):
+    state = vec(rng.randint(-3, 3) + Fraction(rng.randint(-3, 3), 2), rng.randint(-3, 3))
+    if state.is_zero():
+        state = X_UP
+    stages = [Prepare(state)]
+    for _ in range(rng.randint(1, 4)):
+        stages.append(Measure(spin_observable("xyz"[rng.randrange(3)])))
+        if rng.random() < 0.5:
+            label = stages[-1].observable.labels()[rng.randrange(2)]
+            condition = OutcomeIs(len(stages) - 1, label)
+            stages.append(ConditionalUnitary(condition, Matrix.diagonal(1, "i")))
+    return tuple(stages)
+
+
+class TestQueryMemoOnRunOutput:
+    def test_random_formulas_on_random_processes(self):
+        tests = _quantum_tests()
+        for trial in range(30):
+            rng = substream("memo/quantum", trial)
+            stages = THREE_MEASUREMENTS if trial % 3 == 0 else _random_quantum_process(rng)
+            histories = run(stages)
+            atoms = [Atom(t, k) for t in tests for k in range(len(stages))]
+            for _ in range(6):
+                left = _random_formula(rng, atoms, 3)
+                right = _random_formula(rng, atoms, 3)
+                _assert_queries_match_oracle(left, right, histories)
+
+    def test_demo_formulas(self):
+        for demo, trials in ((spin_demo, 40), (hatch_demo, 40)):
+            stages, named = demo()
+            histories = run(stages)
+            atoms = list(named.values())
+            for trial in range(trials):
+                rng = substream(f"memo/{demo.__name__}", trial)
+                left = _random_formula(rng, atoms, 3)
+                right = _random_formula(rng, atoms, 3)
+                _assert_queries_match_oracle(left, right, histories)
+
+    def test_each_atom_is_evaluated_once_per_distinct_entry(self, monkeypatch):
+        histories = run(THREE_MEASUREMENTS)
+        calls = []
+
+        def counting(prop, state):
+            calls.append(state)
+            return original(prop, state)
+
+        original = process.evaluate
+        monkeypatch.setattr(process, "evaluate", counting)
+        x_up = InSubspace(span([X_UP], 2))
+        # six histories, but three distinct entries at stage 3 and one at stage 0
+        assert prob_of(Atom(x_up, 3), histories) == Fraction(3, 4)
+        assert len(calls) == 3
+        calls.clear()
+        assert holds_surely(Atom(x_up, 0), histories)
+        assert len(calls) == 1
+
+
+class TestQueryMemoOnHandBuiltHistories:
+    def test_equal_entries_that_are_distinct_objects(self):
+        def prefix():
+            return (TraceEntry(0, "-", vec(1, 1)),)
+
+        histories = (
+            History(HALF, prefix() + (TraceEntry(1, "y+", vec(1, "i")),)),
+            History(Fraction(1, 4), prefix() + (TraceEntry(1, "y+", vec(1, "i")),)),
+            History(Fraction(1, 4), prefix() + (TraceEntry(1, "y-", vec(1, "-i")),)),
+        )
+        assert histories[0].trace[1] == histories[1].trace[1]
+        assert histories[0].trace[1] is not histories[1].trace[1]
+        tests = _quantum_tests()
+        atoms = [Atom(t, k) for t in tests for k in (0, 1)]
+        for trial in range(40):
+            rng = substream("memo/hand-built", trial)
+            left = _random_formula(rng, atoms, 3)
+            right = _random_formula(rng, atoms, 3)
+            _assert_queries_match_oracle(left, right, histories)
+        y_up = Atom(InSubspace(span([Y_UP], 2)), 1)
+        assert prob_of(y_up, histories) == Fraction(3, 4)
+
+    def test_classical_entries(self):
+        histories = (
+            History(HALF, (TraceEntry(0, "-", "p"), TraceEntry(1, "q", "q"))),
+            History(HALF, (TraceEntry(0, "-", "p"), TraceEntry(1, "r", "r"))),
+        )
+        at_q = Atom(PointIs("q"), 1)
+        at_p = Atom(PointIs("p"), 0)
+        _assert_queries_match_oracle(at_p & at_q, at_p & ~at_q, histories)
+        assert prob_of(at_q, histories) == HALF
+
+
+class TestQueryMemoWithSharedAtoms:
+    def test_one_atom_on_both_sides_of_differing_sides(self, spin):
+        _, f, histories = spin
+        a, b = f["q_o"], f["p_f"]
+        # the same two atom objects on both sides; in the y+ history the
+        # left side is false and the right side true
+        verdict = _assert_queries_match_oracle(a & b, a & ~b, histories)
+        assert verdict.per_history == ((False, True), (False, False))
+        assert not verdict.satisfied
+
+    def test_one_atom_against_its_negation(self, spin):
+        _, f, histories = spin
+        a = f["p_i"]
+        verdict = _assert_queries_match_oracle(a, ~a, histories)
+        assert verdict.left_true_in_all and verdict.right_false_in_all
+        assert not verdict.satisfied
+
+    def test_out_of_range_stage_still_raises(self):
+        histories = run(THREE_MEASUREMENTS)
+        with pytest.raises(ValueError, match="out of range"):
+            prob_of(Atom(InSubspace(span([X_UP], 2)), 5), histories)

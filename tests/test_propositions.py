@@ -68,6 +68,11 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(SPIN_Y, vec(1, 0, 0))
 
+    def test_non_hermitian_rejected_even_with_a_real_value(self):
+        # <e0, A e0> = 1 is real here, so only the hermitian check can refuse it
+        with pytest.raises(ValueError, match="hermitian"):
+            expectation(Matrix([[1, 1], [0, 1]]), vec(1, 0))
+
     def test_density_matrix_trace_form(self):
         # trace(rho S_y) with rho the normalized projector onto (1, 1)
         psi = vec(1, 1)
