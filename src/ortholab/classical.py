@@ -10,7 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Rational, Vector, inner, vec, vector_from_json, vector_to_json
+from .linalg import (
+    Matrix,
+    Rational,
+    Vector,
+    _to_rational,
+    inner,
+    vec,
+    vector_from_json,
+    vector_to_json,
+)
 from .lattice import (
     GAUSSIAN_RATIONAL,
     RATIONAL_REAL,
@@ -77,7 +86,7 @@ class MultiplicativeObservable:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(Rational(v) for v in self.values)
+        values = tuple(_to_rational(v, "observable values") for v in self.values)
         object.__setattr__(self, "values", values)
         if len(values) != self.space.size:
             raise ValueError("one value per phase-space point is required")

@@ -5,7 +5,7 @@ data).  Rationals are printed exactly, never as decimals, and a report is
 byte-for-byte reproducible from the same argv and seed.
 
 Exit codes: 0 on success (including "law holds"), 1 when a counterexample
-was found, 2 on usage, file or parse errors.
+was found, 2 on usage, file or parse errors and on input nested too deeply.
 """
 
 from __future__ import annotations
@@ -61,61 +61,40 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _formula_summary(formulas: dict, histories) -> dict:
-    return {
-        name: {"surely": holds_surely(f, histories), "prob": str(prob_of(f, histories))}
-        for name, f in formulas.items()
-    }
+# Per process demo: its builder, and the (left, connective, right)
+# combinations of its named atoms reported beside the atoms themselves.
+_COMBINATIONS = (("p_i", "&", "q_o"), ("q_i", "|", "r_i"), ("q_o", "|", "r_o"))
+_PROCESS_DEMOS = {
+    "spin": (spin_demo, _COMBINATIONS + (("q'_i", "|", "r'_i"), ("p_f", "|", "q_f"))),
+    "hatch": (hatch_demo, _COMBINATIONS),
+}
 
 
-def _identity_section(formulas: dict, histories, before: str, after: str) -> dict:
-    """The three distributive-law comparisons over one demo's histories.
-
-    ``before`` and ``after`` are the stage tags to use for the q/r atoms;
-    p is always taken at the earlier stage.  The mixed comparison evaluates
-    the two sides at different stages on purpose, which is flagged.
-    """
-    p = formulas[f"p_{before}"]
-    q0, r0 = formulas[f"q_{before}"], formulas[f"r_{before}"]
-    q1, r1 = formulas[f"q_{after}"], formulas[f"r_{after}"]
-    sections = {
+def _demo_process(which: str) -> dict:
+    build, combinations = _PROCESS_DEMOS[which]
+    stages, formulas = build()
+    histories = run(stages)
+    named = dict(formulas)
+    for left, connective, right in combinations:
+        a, b = formulas[left], formulas[right]
+        named[f"{left} {connective} {right}"] = a & b if connective == "&" else a | b
+    # mixed_stages reads its two sides at different stages on purpose; the verdict flags it
+    p, q0, r0, q1, r1 = (formulas[k] for k in ("p_i", "q_i", "r_i", "q_o", "r_o"))
+    identities = {
         "at_preparation": (p & (q0 | r0), (p & q0) | (p & r0)),
         "at_measurement": (p & (q1 | r1), (p & q1) | (p & r1)),
         "mixed_stages": (p & (q1 | r1), (p & q0) | (p & r0)),
     }
     return {
-        name: check_distributivity(left, right, histories).to_json()
-        for name, (left, right) in sections.items()
-    }
-
-
-def _demo_spin() -> dict:
-    stages, formulas = spin_demo()
-    histories = run(stages)
-    named = dict(formulas)
-    named["p_i & q_o"] = formulas["p_i"] & formulas["q_o"]
-    named["q_i | r_i"] = formulas["q_i"] | formulas["r_i"]
-    named["q_o | r_o"] = formulas["q_o"] | formulas["r_o"]
-    named["q'_i | r'_i"] = formulas["q'_i"] | formulas["r'_i"]
-    named["p_f | q_f"] = formulas["p_f"] | formulas["q_f"]
-    return {
         "histories": histories_to_json(histories),
-        "formulas": _formula_summary(named, histories),
-        "identities": _identity_section(formulas, histories, "i", "o"),
-    }
-
-
-def _demo_hatch() -> dict:
-    stages, formulas = hatch_demo()
-    histories = run(stages)
-    named = dict(formulas)
-    named["p_i & q_o"] = formulas["p_i"] & formulas["q_o"]
-    named["q_i | r_i"] = formulas["q_i"] | formulas["r_i"]
-    named["q_o | r_o"] = formulas["q_o"] | formulas["r_o"]
-    return {
-        "histories": histories_to_json(histories),
-        "formulas": _formula_summary(named, histories),
-        "identities": _identity_section(formulas, histories, "i", "o"),
+        "formulas": {
+            name: {"surely": holds_surely(f, histories), "prob": str(prob_of(f, histories))}
+            for name, f in named.items()
+        },
+        "identities": {
+            name: check_distributivity(left, right, histories).to_json()
+            for name, (left, right) in identities.items()
+        },
     }
 
 
@@ -161,12 +140,9 @@ def _demo_two_state() -> dict:
 
 
 def _cmd_demo(args) -> tuple[dict, dict, int]:
-    which = args.which
-    if which == "spin":
-        return _demo_spin(), {}, 0
-    if which == "hatch":
-        return _demo_hatch(), {}, 0
-    return _demo_two_state(), {}, 0
+    if args.which == "two-state":
+        return _demo_two_state(), {}, 0
+    return _demo_process(args.which), {}, 0
 
 
 def _cmd_lattice(args) -> tuple[dict, dict, int]:
@@ -308,6 +284,9 @@ def main(argv=None) -> int:
         results, inputs, code = _HANDLERS[args.command](args)
     except KeyError as exc:
         print(f"ortholab: error: missing key {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("ortholab: error: input nested too deeply", file=sys.stderr)
         return 2
     except (OSError, ValueError, TypeError) as exc:
         print(f"ortholab: error: {exc}", file=sys.stderr)

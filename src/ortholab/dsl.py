@@ -66,6 +66,8 @@ _VAR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
 class Term:
+    """A lattice term; its ``&`` means meet, not conjunction, so it stays its own tree."""
+
     __slots__ = ()
 
 

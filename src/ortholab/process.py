@@ -7,9 +7,9 @@ by <psi, P_b psi> / <psi, psi> and continuing with the unnormalized state
 kernels instead.  Histories come back with exact rational probabilities
 that sum to 1.
 
-Formulas over a run bind each predicate to a stage index, which is what
-lets statements "before" and "after" a measurement coexist in one Boolean
-expression without ambiguity.
+Formulas over a run are propositions whose ``Atom`` leaves bind a predicate
+to a stage index, which is what lets statements "before" and "after" a
+measurement coexist in one Boolean expression without ambiguity.
 """
 
 from __future__ import annotations
@@ -28,7 +28,17 @@ from .linalg import (
     vector_from_json,
 )
 from .lattice import span
-from .propositions import ExpectationIn, InSubspace, Interval, evaluate
+from .propositions import (
+    And,
+    ExpectationIn,
+    InSubspace,
+    Interval,
+    Not,
+    Or,
+    Proposition,
+    evaluate,
+    truth,
+)
 from . import spin
 
 __all__ = [
@@ -42,15 +52,8 @@ __all__ = [
     "ClassicalStep",
     "TraceEntry",
     "History",
-    "Formula",
     "Atom",
     "PointIs",
-    "Conjunction",
-    "Disjunction",
-    "Negation",
-    "Truth",
-    "ALWAYS",
-    "NEVER",
     "run",
     "evaluate_in",
     "holds_surely",
@@ -295,21 +298,6 @@ def run(stages) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class Formula:
-    """Boolean tree over stage-bound atoms; combine with ``&``, ``|``, ``~``."""
-
-    __slots__ = ()
-
-    def __and__(self, other):
-        return Conjunction((self, other))
-
-    def __or__(self, other):
-        return Disjunction((self, other))
-
-    def __invert__(self):
-        return Negation(self)
-
-
 @dataclass(frozen=True)
 class PointIs:
     """Classical test: the branch sits at this sample point."""
@@ -318,44 +306,14 @@ class PointIs:
 
 
 @dataclass(frozen=True)
-class Atom(Formula):
+class Atom(Proposition):
     """A predicate evaluated on the state after ``stage`` in each history."""
 
     test: object  # Proposition for quantum runs, PointIs for classical runs
     stage: int
 
 
-@dataclass(frozen=True)
-class Conjunction(Formula):
-    children: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-
-
-@dataclass(frozen=True)
-class Disjunction(Formula):
-    children: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-
-
-@dataclass(frozen=True)
-class Negation(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class Truth(Formula):
-    value: bool
-
-
-ALWAYS = Truth(True)
-NEVER = Truth(False)
-
-
-def evaluate_in(formula: Formula, history: History) -> bool:
+def evaluate_in(formula: Proposition, history: History) -> bool:
     """Truth value of a stage-indexed formula in one history."""
     return _evaluate(formula, history, None)
 
@@ -369,25 +327,21 @@ def _evaluate(formula, history, memo):
     Each value pins its entry, so an id cannot be reused while the memo
     lives.  Only atoms are memoised; connectives are always recomputed.
     """
-    if isinstance(formula, Truth):
-        return formula.value
-    if isinstance(formula, Atom):
-        state = history.state_at(formula.stage)
+
+    def leaf(atom):
+        if not isinstance(atom, Atom):
+            raise TypeError(f"not a formula node: {atom!r}")
+        state = history.state_at(atom.stage)
         if memo is None:
-            return _atom_holds(formula, state)
-        entry = history.trace[formula.stage]
-        key = (id(formula), id(entry))
+            return _atom_holds(atom, state)
+        entry = history.trace[atom.stage]
+        key = (id(atom), id(entry))
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = (entry, _atom_holds(formula, state))
+            hit = memo[key] = (entry, _atom_holds(atom, state))
         return hit[1]
-    if isinstance(formula, Conjunction):
-        return all(_evaluate(c, history, memo) for c in formula.children)
-    if isinstance(formula, Disjunction):
-        return any(_evaluate(c, history, memo) for c in formula.children)
-    if isinstance(formula, Negation):
-        return not _evaluate(formula.child, history, memo)
-    raise TypeError(f"not a formula node: {formula!r}")
+
+    return truth(formula, leaf)
 
 
 def _atom_holds(atom: Atom, state) -> bool:
@@ -400,13 +354,13 @@ def _atom_holds(atom: Atom, state) -> bool:
     return evaluate(atom.test, state)
 
 
-def holds_surely(formula: Formula, histories) -> bool:
+def holds_surely(formula: Proposition, histories) -> bool:
     """True iff the formula holds in every positive-probability history."""
     memo = {}
     return all(_evaluate(formula, h, memo) for h in histories)
 
 
-def prob_of(formula: Formula, histories):
+def prob_of(formula: Proposition, histories):
     """Exact probability mass of the histories where the formula is true."""
     memo = {}
     total = Rational(0)
@@ -416,17 +370,18 @@ def prob_of(formula: Formula, histories):
     return total
 
 
-def formula_stages(formula: Formula) -> frozenset:
-    if isinstance(formula, Atom):
-        return frozenset((formula.stage,))
-    if isinstance(formula, (Conjunction, Disjunction)):
-        out = frozenset()
-        for c in formula.children:
-            out |= formula_stages(c)
-        return out
-    if isinstance(formula, Negation):
-        return formula_stages(formula.child)
-    return frozenset()
+def formula_stages(formula: Proposition) -> frozenset:
+    stages = set()
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            stages.add(node.stage)
+        elif isinstance(node, (And, Or)):
+            stack.extend(node.children)
+        elif isinstance(node, Not):
+            stack.append(node.child)
+    return frozenset(stages)
 
 
 @dataclass(frozen=True)
@@ -469,7 +424,9 @@ class DistributivityVerdict:
         }
 
 
-def check_distributivity(left: Formula, right: Formula, histories) -> DistributivityVerdict:
+def check_distributivity(
+    left: Proposition, right: Proposition, histories
+) -> DistributivityVerdict:
     memo = {}
     lvals = tuple(_evaluate(left, h, memo) for h in histories)
     rvals = tuple(_evaluate(right, h, memo) for h in histories)

@@ -40,6 +40,7 @@ __all__ = [
     "Constant",
     "TRUE",
     "FALSE",
+    "truth",
     "expectation",
     "evaluate",
     "is_subspace_closed",
@@ -189,32 +190,59 @@ def _expectation(observable: Matrix, state: Vector):
     return num.re / den
 
 
+def truth(node, leaf) -> bool:
+    """Truth value of a tree of ``And``, ``Or``, ``Not`` and ``Constant`` nodes.
+
+    ``leaf(node)`` decides every other node.  Children go left to right and
+    stop as ``all`` and ``any`` do, so an empty ``And`` is true and an empty
+    ``Or`` false.  The stack is explicit: a tree may nest to any depth.
+    """
+    stack = []  # per open connective: None for a Not, else (children, next index, decisive value)
+    while True:
+        while isinstance(node, Not):
+            stack.append(None)
+            node = node.child
+        if isinstance(node, (And, Or)):
+            value = isinstance(node, And)  # its value if no child decides it
+            stack.append((node.children, 0, not value))
+        elif isinstance(node, Constant):
+            value = node.value
+        else:
+            value = leaf(node)
+        while stack:
+            frame = stack.pop()
+            if frame is None:
+                value = not value
+                continue
+            children, i, decisive = frame
+            if bool(value) is decisive or i == len(children):
+                value = bool(value)
+            else:
+                stack.append((children, i + 1, decisive))
+                node = children[i]
+                break
+        else:
+            return value
+
+
 def evaluate(prop: Proposition, state: Vector) -> bool:
     """Truth value of a proposition at a nonzero state."""
     if state.is_zero():
         raise ValueError("propositions are evaluated on nonzero states only")
-    return _eval(prop, state)
 
+    def leaf(node):
+        if isinstance(node, InSubspace):
+            return node.subspace.contains(state)
+        if isinstance(node, ExpectationIn):
+            value = _expectation(node.observable, state)
+            return any(w.contains(value) for w in node.windows)
+        if isinstance(node, EqualsVector):
+            if node.vector.dim != state.dim:
+                raise ValueError(f"dimension mismatch: {node.vector.dim} vs {state.dim}")
+            return state == node.vector
+        raise TypeError(f"not a proposition node: {node!r}")
 
-def _eval(prop, state):
-    if isinstance(prop, Constant):
-        return prop.value
-    if isinstance(prop, InSubspace):
-        return prop.subspace.contains(state)
-    if isinstance(prop, ExpectationIn):
-        value = _expectation(prop.observable, state)
-        return any(w.contains(value) for w in prop.windows)
-    if isinstance(prop, EqualsVector):
-        if prop.vector.dim != state.dim:
-            raise ValueError(f"dimension mismatch: {prop.vector.dim} vs {state.dim}")
-        return state == prop.vector
-    if isinstance(prop, And):
-        return all(_eval(c, state) for c in prop.children)
-    if isinstance(prop, Or):
-        return any(_eval(c, state) for c in prop.children)
-    if isinstance(prop, Not):
-        return not _eval(prop.child, state)
-    raise TypeError(f"not a proposition node: {prop!r}")
+    return truth(prop, leaf)
 
 
 # Coefficients used to mix probe states when hunting closure violations.

@@ -136,6 +136,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             MultiplicativeObservable(TWO_POINTS, (1,))
 
+    def test_observable_refuses_float_values(self):
+        with pytest.raises(TypeError, match="observable values must be exact rationals"):
+            MultiplicativeObservable(TWO_POINTS, (0.1, 1))
+
 
 class TestJson:
     def test_roundtrip(self):

@@ -251,6 +251,26 @@ class TestProps:
         assert report["results"]["value"] is True
 
 
+class TestDeepInput:
+    """Input too deep to parse is an input error (exit 2), never a counterexample."""
+
+    def test_deep_statement_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "check", "!" * 3000 + "x = x", "--structure", "subspace")
+        assert code == 2
+        assert out == ""
+        assert err == "ortholab: error: input nested too deeply\n"
+
+    def test_deep_proposition_file_exit_two(self, capsys, tmp_path):
+        prop = tmp_path / "prop.json"
+        state = tmp_path / "state.json"
+        prop.write_text('{"type": "not", "child": ' * 3000 + '{"type": "true"}' + "}" * 3000)
+        state.write_text(json.dumps({"state": ["1", "0"]}))
+        code, out, err = run_cli(capsys, "props", "eval", str(prop), str(state))
+        assert code == 2
+        assert out == ""
+        assert err == "ortholab: error: input nested too deeply\n"
+
+
 class TestDeterminism:
     def test_identical_argv_gives_byte_identical_json(self, capsys):
         argv = ["demo", "spin", "--format", "json", "--seed", "4"]

@@ -6,8 +6,6 @@ from ortholab import process, span, vec
 from ortholab.lattice import substream
 from ortholab.linalg import Matrix, Rational, inner
 from ortholab.process import (
-    ALWAYS,
-    NEVER,
     Atom,
     ClassicalPrepare,
     ClassicalStep,
@@ -33,6 +31,7 @@ from ortholab.process import (
     spin_observable,
 )
 from ortholab.propositions import EqualsVector, ExpectationIn, InSubspace, Interval
+from ortholab.propositions import FALSE as NEVER, TRUE as ALWAYS
 from ortholab.spin import (
     PROJ_Z_UP,
     SPIN_X,
