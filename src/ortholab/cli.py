@@ -50,15 +50,12 @@ from .propositions import evaluate, proposition_from_json
 __all__ = ["main"]
 
 
-def _file_input(path: str) -> dict:
+def _read_input(inputs: dict, key: str, path: str) -> str:
+    """Read ``path`` once: record its sha256 as ``inputs[key]`` and return its UTF-8 text."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    return {"path": path, "sha256": hashlib.sha256(blob).hexdigest()}
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    inputs[key] = {"path": path, "sha256": hashlib.sha256(blob).hexdigest()}
+    return blob.decode("utf-8")
 
 
 # Per process demo: its builder, and the (left, connective, right)
@@ -98,18 +95,14 @@ def _demo_process(which: str) -> dict:
     }
 
 
-def _two_state_labels(verdict: TwoStateVerdict) -> dict:
-    return {
+def _two_state_json(verdict: TwoStateVerdict) -> dict:
+    labels = {
         verdict.certainly_first: "[k,0]",
         verdict.certainly_second: "[0,k]",
         verdict.balanced: "[k,k]",
         verdict.whole: "[k,j]",
         Subspace.zero(2): "[0,0]",
     }
-
-
-def _two_state_json(verdict: TwoStateVerdict) -> dict:
-    labels = _two_state_labels(verdict)
 
     def side(s: Subspace) -> dict:
         return {"label": labels.get(s, "?"), "subspace": subspace_to_json(s)}
@@ -151,11 +144,10 @@ def _cmd_lattice(args) -> tuple[dict, dict, int]:
         raise ValueError(f"lattice {args.op} needs two subspace files")
     if not binary and args.fileB is not None:
         raise ValueError("lattice ortho takes a single subspace file")
-    inputs = {"fileA": _file_input(args.fileA)}
-    a = subspace_from_json(_load_json(args.fileA))
+    inputs = {}
+    a = subspace_from_json(json.loads(_read_input(inputs, "fileA", args.fileA)))
     if binary:
-        inputs["fileB"] = _file_input(args.fileB)
-        b = subspace_from_json(_load_json(args.fileB))
+        b = subspace_from_json(json.loads(_read_input(inputs, "fileB", args.fileB)))
     if args.op == "meet":
         results = {"result": subspace_to_json(meet(a, b))}
     elif args.op == "join":
@@ -178,9 +170,8 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
         statements = [parse_statement(args.statement)]
         inputs = {"statement": args.statement}
     else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            statements = parse_statement_lines(fh.read())
-        inputs = {"file": _file_input(args.file)}
+        inputs = {}
+        statements = parse_statement_lines(_read_input(inputs, "file", args.file))
     reports = [check(s, structure, trials=args.trials, seed=args.seed) for s in statements]
     code = 0 if all(r.holds for r in reports) else 1
     if len(reports) == 1 and args.statement is not None:
@@ -189,36 +180,29 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_props(args) -> tuple[dict, dict, int]:
-    inputs = {
-        "prop_file": _file_input(args.prop_file),
-        "state_file": _file_input(args.state_file),
-    }
-    prop = proposition_from_json(_load_json(args.prop_file))
-    state_data = _load_json(args.state_file)
-    state = vector_from_json(state_data["state"])
+    inputs = {}
+    prop_text = _read_input(inputs, "prop_file", args.prop_file)
+    state_text = _read_input(inputs, "state_file", args.state_file)
+    prop = proposition_from_json(json.loads(prop_text))
+    state = vector_from_json(json.loads(state_text)["state"])
     return {"value": evaluate(prop, state)}, inputs, 0
 
 
 def _render_text(value, indent: int = 0) -> list:
     pad = "  " * indent
-    lines = []
     if isinstance(value, dict):
-        for key in sorted(value):
-            item = value[key]
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_atom_text(item)}")
+        items = [(f"{key}:", value[key]) for key in sorted(value)]
     elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_atom_text(item)}")
+        items = [("-", item) for item in value]
     else:
-        lines.append(f"{pad}{_atom_text(value)}")
+        return [f"{pad}{_atom_text(value)}"]
+    lines = []
+    for head, item in items:
+        if isinstance(item, (dict, list)):
+            lines.append(f"{pad}{head}")
+            lines.extend(_render_text(item, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {_atom_text(item)}")
     return lines
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -369,14 +370,14 @@ class SubspaceLattice:
     def leq(self, a, b):
         return subspace_leq(a, b)
 
-    def equal(self, a, b):
-        return a == b
-
     def random_element(self, rng):
         return random_subspace(rng, self.space_dim, self.field)
 
     def describe(self, element) -> dict:
         return subspace_to_json(element)
+
+    def to_json(self) -> dict:
+        return {"kind": "subspace", "space_dim": self.space_dim, "field": self.field}
 
 
 @dataclass(frozen=True)
@@ -407,9 +408,6 @@ class BooleanSetAlgebra:
     def leq(self, a, b):
         return a <= b
 
-    def equal(self, a, b):
-        return a == b
-
     def elements(self):
         # fixed enumeration order: subset k has member i iff bit i of k is set
         for bits in range(1 << self.universe_size):
@@ -421,6 +419,9 @@ class BooleanSetAlgebra:
 
     def describe(self, element) -> list:
         return sorted(element)
+
+    def to_json(self) -> dict:
+        return {"kind": "boolean", "universe_size": self.universe_size}
 
 
 class UnboundVariableError(KeyError):
@@ -453,14 +454,6 @@ def eval_term(term: Term, assignment: dict, structure):
     raise TypeError(f"not a term node: {term!r}")
 
 
-def _relation_holds(stmt: IdentityStatement, structure, assignment) -> bool:
-    lhs = eval_term(stmt.lhs, assignment, structure)
-    rhs = eval_term(stmt.rhs, assignment, structure)
-    if stmt.relation is Relation.EQUAL:
-        return structure.equal(lhs, rhs)
-    return structure.leq(lhs, rhs)
-
-
 # ---------------------------------------------------------------------------
 # The checker.
 # ---------------------------------------------------------------------------
@@ -489,17 +482,9 @@ class CheckReport:
         return self.counterexample is None
 
     def to_json(self) -> dict:
-        if isinstance(self.structure, SubspaceLattice):
-            structure = {
-                "kind": "subspace",
-                "space_dim": self.structure.space_dim,
-                "field": self.structure.field,
-            }
-        else:
-            structure = {"kind": "boolean", "universe_size": self.structure.universe_size}
         out = {
             "statement": self.statement,
-            "structure": structure,
+            "structure": self.structure.to_json(),
             "mode": self.mode,
             "trials": self.trials,
             "verdict": (
@@ -525,61 +510,34 @@ class CheckReport:
 def check(stmt: IdentityStatement, structure, trials: int = 1000, seed=0) -> CheckReport:
     """Look for an assignment falsifying the statement.
 
-    Small Boolean structures are checked exhaustively (the assignment space
-    is enumerated in a fixed order); everything else draws seeded random
-    assignments, one substream per trial, and reports the lowest-index
-    counterexample.  Reports are self-verifying: the recorded assignment
-    re-evaluates to the recorded sides.
+    Statements without variables, and Boolean structures with at most
+    ``_EXHAUSTIVE_LIMIT`` assignments, are enumerated in the order of
+    ``itertools.product`` over ``elements()``; otherwise ``trials`` seeded
+    random assignments are drawn, one substream per trial, variables in
+    sorted name order.  Each side is evaluated once per assignment, and the
+    first falsifying one is reported with those two values, so the report
+    re-evaluates to itself.  ``trials`` counts the assignments examined.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     names = sorted(collect_variables(stmt.lhs) | collect_variables(stmt.rhs))
     text = format_statement(stmt)
-
-    exhaustive = False
-    if isinstance(structure, BooleanSetAlgebra):
-        total = (1 << structure.universe_size) ** len(names)
-        exhaustive = total <= _EXHAUSTIVE_LIMIT
-    if not names:
-        exhaustive = True
-
-    if exhaustive:
-        if isinstance(structure, BooleanSetAlgebra):
-            pools = [structure.elements() for _ in names]
-        else:
-            pools = []
-        count = 0
-        for trial, values in enumerate(itertools.product(*pools)):
-            assignment = dict(zip(names, values))
-            count += 1
-            if not _relation_holds(stmt, structure, assignment):
-                return CheckReport(
-                    text,
-                    structure,
-                    "exhaustive",
-                    count,
-                    _make_counterexample(stmt, structure, trial, assignment),
-                )
-        return CheckReport(text, structure, "exhaustive", count, None)
-
-    for trial in range(trials):
-        rng = substream(seed, trial)
-        assignment = {name: structure.random_element(rng) for name in names}
-        if not _relation_holds(stmt, structure, assignment):
-            return CheckReport(
-                text,
-                structure,
-                "random",
-                trial + 1,
-                _make_counterexample(stmt, structure, trial, assignment),
-            )
-    return CheckReport(text, structure, "random", trials, None)
-
-
-def _make_counterexample(stmt, structure, trial, assignment) -> Counterexample:
-    return Counterexample(
-        trial=trial,
-        assignment=dict(assignment),
-        lhs=eval_term(stmt.lhs, assignment, structure),
-        rhs=eval_term(stmt.rhs, assignment, structure),
-    )
+    if not names or (
+        isinstance(structure, BooleanSetAlgebra)
+        and (1 << structure.universe_size) ** len(names) <= _EXHAUSTIVE_LIMIT
+    ):
+        mode = "exhaustive"
+        pools = [structure.elements() for _ in names]
+        assignments = (dict(zip(names, values)) for values in itertools.product(*pools))
+    else:
+        mode = "random"
+        rngs = (substream(seed, trial) for trial in range(trials))
+        assignments = ({name: structure.random_element(rng) for name in names} for rng in rngs)
+    holds = structure.leq if stmt.relation is Relation.LEQ else operator.eq
+    for trial, assignment in enumerate(assignments):
+        lhs = eval_term(stmt.lhs, assignment, structure)
+        rhs = eval_term(stmt.rhs, assignment, structure)
+        if not holds(lhs, rhs):
+            cx = Counterexample(trial, assignment, lhs, rhs)
+            return CheckReport(text, structure, mode, trial + 1, cx)
+    return CheckReport(text, structure, mode, trial + 1, None)

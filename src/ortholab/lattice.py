@@ -17,6 +17,7 @@ from .linalg import (
     Vector,
     _complement_rows,
     _integer_row,
+    _json_field,
     _matrix,
     _reduce,
     vector_from_json,
@@ -271,6 +272,6 @@ def subspace_to_json(s: Subspace) -> dict:
 
 
 def subspace_from_json(data) -> Subspace:
-    space_dim = int(data["space_dim"])
+    space_dim = _json_field(data, "space_dim", int)
     vectors = [vector_from_json(row) for row in data["basis"]]
     return span(vectors, space_dim)

@@ -16,6 +16,7 @@ to share between concurrent tasks.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -180,23 +181,23 @@ def parse_scalar(text: str) -> Scalar:
             pos += 1
             return True, Rational(sign)
         digits_start = pos
-        while pos < n and s[pos].isdigit():
+        while pos < n and s[pos] in "0123456789":
             pos += 1
         if pos == digits_start:
             found = s[pos] if pos < n else "end of text"
             raise ScalarParseError(
                 f"expected digits at position {pos + 1} in {text!r}, found {found!r}"
             )
-        num = int(s[digits_start:pos])
+        num = _digit_run(s[digits_start:pos])
         den = 1
         if pos < n and s[pos] == "/":
             pos += 1
             den_start = pos
-            while pos < n and s[pos].isdigit():
+            while pos < n and s[pos] in "0123456789":
                 pos += 1
             if pos == den_start:
                 raise ScalarParseError(f"expected denominator digits in token {s[start:pos]!r}")
-            den = int(s[den_start:pos])
+            den = _digit_run(s[den_start:pos])
             if den == 0:
                 raise ScalarParseError(f"zero denominator in token {s[start:pos]!r}")
         value = Rational(sign * num, den)
@@ -221,6 +222,15 @@ def parse_scalar(text: str) -> Scalar:
     if pos != n:
         raise ScalarParseError(f"trailing {s[pos:]!r} at position {pos + 1} in {text!r}")
     return Scalar(first, second)
+
+
+def _digit_run(digits: str) -> int:
+    # int() of ASCII digits fails only past the interpreter's int-string limit
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ScalarParseError(f"number too long: {len(digits)} digits, limit {limit}") from None
 
 
 def _as_scalar(value) -> Scalar:
@@ -341,12 +351,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            tuple(
-                tuple(SC_ONE if i == j else SC_ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
+        return cls.diagonal(*(SC_ONE,) * n)
 
     @classmethod
     def diagonal(cls, *entries) -> "Matrix":
@@ -609,6 +614,25 @@ def nullspace(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _json_rational(text, what: str) -> Rational:
+    """A real rational wire field: a string in the scalar grammar."""
+    if not isinstance(text, str):
+        raise TypeError(f"{what} must be strings in the scalar grammar, not {text!r}")
+    value = parse_scalar(text)
+    if value.im:
+        raise ValueError(f"{what} must be real, not {text!r}")
+    return value.re
+
+
+def _json_field(data, key: str, kind: type):
+    """``data[key]``, which must be a JSON boolean (``kind`` bool) or integer (int)."""
+    value = data[key]
+    if type(value) is not kind:
+        name = "boolean" if kind is bool else "integer"
+        raise TypeError(f"{key!r} must be a JSON {name}, not {value!r}")
+    return value
+
+
 def vector_to_json(v: Vector) -> list:
     return [str(e) for e in v.entries]
 
@@ -626,4 +650,4 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def matrix_from_json(data) -> Matrix:
     rows = [[parse_scalar(e) for e in row] for row in data["rows"]]
-    return Matrix(rows, ncols=data.get("ncols"))
+    return Matrix(rows, ncols=_json_field(data, "ncols", int) if "ncols" in data else None)

@@ -21,6 +21,8 @@ from .linalg import (
     Matrix,
     Rational,
     Vector,
+    _json_field,
+    _json_rational,
     _to_rational,
     inner,
     matrix_from_json,
@@ -315,11 +317,11 @@ class Atom(Proposition):
 
 def evaluate_in(formula: Proposition, history: History) -> bool:
     """Truth value of a stage-indexed formula in one history."""
-    return _evaluate(formula, history, None)
+    return _evaluate(formula, history, {})
 
 
 def _evaluate(formula, history, memo):
-    """``evaluate_in``; with a dict as ``memo``, each atom is evaluated once per trace entry.
+    """``evaluate_in`` with a ``memo`` dict: each atom is evaluated once per trace entry.
 
     ``memo`` is keyed on ``(id(atom), id(entry))``: ``run`` shares each
     TraceEntry between all the histories through it, so the queries below
@@ -332,8 +334,6 @@ def _evaluate(formula, history, memo):
         if not isinstance(atom, Atom):
             raise TypeError(f"not a formula node: {atom!r}")
         state = history.state_at(atom.stage)
-        if memo is None:
-            return _atom_holds(atom, state)
         entry = history.trace[atom.stage]
         key = (id(atom), id(entry))
         hit = memo.get(key)
@@ -534,7 +534,11 @@ def _observable_from_json(data) -> Observable:
     return Observable(
         data["name"],
         tuple(
-            Outcome(o["label"], Rational(o["value"]), matrix_from_json(o["projector"]))
+            Outcome(
+                o["label"],
+                _json_rational(o["value"], "outcome values"),
+                matrix_from_json(o["projector"]),
+            )
             for o in data["outcomes"]
         ),
     )
@@ -573,14 +577,14 @@ def stage_from_json(data):
     if kind == "conditional_unitary":
         cond = data["condition"]
         return ConditionalUnitary(
-            OutcomeIs(int(cond["stage"]), cond["outcome"]),
+            OutcomeIs(_json_field(cond, "stage", int), cond["outcome"]),
             matrix_from_json(data["matrix"]),
         )
     if kind == "classical_prepare":
         return ClassicalPrepare(data["point"])
     if kind == "classical_step":
         kernel = {
-            src: tuple((target, Rational(p)) for target, p in row)
+            src: tuple((target, _json_rational(p, "probabilities")) for target, p in row)
             for src, row in data["kernel"].items()
         }
         return ClassicalStep(kernel)

@@ -18,6 +18,8 @@ from .linalg import (
     Rational,
     Scalar,
     Vector,
+    _json_field,
+    _json_rational,
     _to_rational,
     inner,
     matrix_from_json,
@@ -92,9 +94,10 @@ class Interval:
 
     @classmethod
     def from_json(cls, data) -> "Interval":
-        lo = None if data["lo"] == "-inf" else Rational(data["lo"])
-        hi = None if data["hi"] == "inf" else Rational(data["hi"])
-        return cls(lo, hi, bool(data["lo_closed"]), bool(data["hi_closed"]))
+        what = "interval endpoints"
+        lo = None if data["lo"] == "-inf" else _json_rational(data["lo"], what)
+        hi = None if data["hi"] == "inf" else _json_rational(data["hi"], what)
+        return cls(lo, hi, *(_json_field(data, k, bool) for k in ("lo_closed", "hi_closed")))
 
 
 class Proposition:

@@ -1,4 +1,6 @@
+import builtins
 import json
+import sys
 
 import pytest
 
@@ -301,3 +303,88 @@ class TestDeterminism:
         main(list(argv))
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+
+S_Z = {"rows": [["1/2", "0"], ["0", "-1/2"]]}
+
+
+def _window_prop(tmp_path, window, state=("1", "0")):
+    prop = tmp_path / "prop.json"
+    prop.write_text(json.dumps({"type": "expectation_in", "observable": S_Z, "set": [window]}))
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps({"state": list(state)}))
+    return str(prop), str(state_file)
+
+
+class TestWireFields:
+    """Rationals use the scalar grammar; flags and integer fields need exact JSON types."""
+
+    @pytest.mark.parametrize(
+        "lo", ["1e5000", "0.5", "1_0", "1+i", 0, pytest.param("1" * 5001, id="5001-digits")]
+    )
+    def test_interval_endpoint_outside_the_grammar_exit_two(self, capsys, tmp_path, lo):
+        window = {"lo": lo, "hi": "inf", "lo_closed": True, "hi_closed": True}
+        code, out, err = run_cli(capsys, "props", "eval", *_window_prop(tmp_path, window))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ortholab: error: ") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
+
+    def test_open_window_excludes_its_endpoint(self, capsys, tmp_path):
+        # <S_z> = 1/2 on [1, 0], which the window (1/2, inf) leaves out
+        window = {"lo": "1/2", "hi": "inf", "lo_closed": False, "hi_closed": True}
+        code, report = run_json(capsys, "props", "eval", *_window_prop(tmp_path, window))
+        assert code == 0
+        assert report["results"]["value"] is False
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_interval_flags_must_be_json_booleans(self, capsys, tmp_path, flag):
+        window = {"lo": "1/2", "hi": "inf", "lo_closed": flag, "hi_closed": True}
+        code, out, err = run_cli(capsys, "props", "eval", *_window_prop(tmp_path, window))
+        assert code == 2
+        assert out == ""
+        assert err == f"ortholab: error: 'lo_closed' must be a JSON boolean, not {flag!r}\n"
+
+    @pytest.mark.parametrize("space_dim", [2.9, 2.0, "2", True])
+    def test_space_dim_must_be_a_json_integer(self, capsys, tmp_path, space_dim):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"space_dim": space_dim, "basis": [["1", "0"]]}))
+        code, out, err = run_cli(capsys, "lattice", "ortho", str(a))
+        assert code == 2
+        assert out == ""
+        assert "'space_dim' must be a JSON integer" in err
+
+    def test_overlong_state_entry_is_reported_in_our_words(self, capsys, tmp_path):
+        window = {"lo": "0", "hi": "inf", "lo_closed": True, "hi_closed": True}
+        files = _window_prop(tmp_path, window, state=("1" * 5001, "0"))
+        code, out, err = run_cli(capsys, "props", "eval", *files)
+        assert code == 2
+        limit = sys.get_int_max_str_digits()
+        assert err == f"ortholab: error: number too long: 5001 digits, limit {limit}\n"
+
+
+class TestInputFiles:
+    def test_each_input_file_is_opened_once(self, capsys, tmp_path, monkeypatch):
+        window = {"lo": "0", "hi": "inf", "lo_closed": True, "hi_closed": True}
+        prop, state = _window_prop(tmp_path, window)
+        laws = tmp_path / "laws.txt"
+        laws.write_text("x = x\n")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["props", "eval", prop, state]) == 0
+        assert main(["check", "--file", str(laws), "--structure", "boolean"]) == 0
+        capsys.readouterr()
+        assert opened == [prop, state, str(laws)]
+
+    def test_invalid_utf8_exit_two(self, capsys, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_bytes(b'{"space_dim": 2, "basis": [["\xff"]]}')
+        code, out, err = run_cli(capsys, "lattice", "ortho", str(a))
+        assert code == 2
+        assert "utf-8" in err

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ortholab import Subspace, check_orthomodular, distributes, span, vec
+from ortholab import dsl
 from ortholab.dsl import (
     And,
     BooleanSetAlgebra,
@@ -289,3 +290,43 @@ class TestReports:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             check(parse_statement("x = x"), LAT2, trials=0)
+
+
+class TestEvaluationCount:
+    """``check`` evaluates each side once per assignment, counterexample included."""
+
+    @pytest.mark.parametrize(
+        "structure, text, trials, holds",
+        [
+            (LAT2, DISTRIBUTIVE, 1000, False),
+            (SubspaceLattice(3), WEAKER, 30, True),
+            (BooleanSetAlgebra(2), "x | y <= x", 1000, False),
+            (BOOL3, DISTRIBUTIVE, 1000, True),
+            (BOOL3, "1 = 0", 1000, False),
+        ],
+    )
+    def test_each_side_once_per_assignment(self, monkeypatch, structure, text, trials, holds):
+        stmt = parse_statement(text)
+        calls = {"lhs": 0, "rhs": 0}
+        evaluate = dsl.eval_term
+
+        def counting(term, assignment, structure):
+            # the parser builds fresh nodes, so only the sides themselves match
+            if term is stmt.lhs:
+                calls["lhs"] += 1
+            elif term is stmt.rhs:
+                calls["rhs"] += 1
+            return evaluate(term, assignment, structure)
+
+        monkeypatch.setattr(dsl, "eval_term", counting)
+        report = check(stmt, structure, trials=trials, seed=5)
+        assert report.holds is holds
+        assert calls == {"lhs": report.trials, "rhs": report.trials}
+
+    def test_structures_describe_themselves(self):
+        assert SubspaceLattice(3, RATIONAL_REAL).to_json() == {
+            "kind": "subspace",
+            "space_dim": 3,
+            "field": RATIONAL_REAL,
+        }
+        assert BOOL3.to_json() == {"kind": "boolean", "universe_size": 3}

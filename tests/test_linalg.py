@@ -53,6 +53,24 @@ class TestScalarParsing:
         with pytest.raises(ScalarParseError):
             parse_scalar(text)
 
+    @pytest.mark.parametrize("text", ["1e5000", "0.5", "1_0", "\u0663", "1/\u0663"])
+    def test_exponents_decimals_underscores_and_non_ascii_digits_rejected(self, text):
+        with pytest.raises(ScalarParseError):
+            parse_scalar(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1" * 5001, id="numerator"),
+            pytest.param("1/" + "7" * 5001, id="denominator"),
+            pytest.param("1+" + "2" * 5001 + "i", id="imaginary"),
+        ],
+    )
+    def test_overlong_digit_run_is_a_parse_error_in_our_words(self, text):
+        with pytest.raises(ScalarParseError, match="5001 digits") as err:
+            parse_scalar(text)
+        assert "set_int_max_str_digits" not in str(err.value)
+
     def test_zero_denominator_names_token(self):
         with pytest.raises(ScalarParseError, match="1/0"):
             parse_scalar("1/0")
@@ -217,6 +235,11 @@ class TestMatrixOps:
         assert matrix_from_json(matrix_to_json(m)) == m
         empty = Matrix((), ncols=3)
         assert matrix_from_json(matrix_to_json(empty)) == empty
+
+    @pytest.mark.parametrize("ncols", [3.0, "3", True])
+    def test_json_ncols_must_be_an_integer(self, ncols):
+        with pytest.raises(TypeError, match="'ncols' must be a JSON integer"):
+            matrix_from_json({"rows": [], "ncols": ncols})
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -397,6 +397,35 @@ class TestJson:
         data = histories_to_json(histories)
         assert data[0]["trace"][1]["state"] == "q"
 
+    @pytest.mark.parametrize(
+        "value, error, match",
+        [
+            ("0.5", ValueError, "unexpected '.'"),
+            ("1e2", ValueError, "unexpected 'e'"),
+            ("1_0", ValueError, "unexpected '_'"),
+            ("1+i", ValueError, "must be real"),
+            (1, TypeError, "must be strings in the scalar grammar"),
+            (0.5, TypeError, "must be strings in the scalar grammar"),
+        ],
+    )
+    def test_outcome_values_and_probabilities_use_the_scalar_grammar(
+        self, spin, hatch, value, error, match
+    ):
+        quantum = process_to_json(spin[0])
+        quantum[1]["observable"]["outcomes"][0]["value"] = value
+        classical = process_to_json(hatch[0])
+        classical[1]["kernel"]["p"][0][1] = value
+        for data in (quantum, classical):
+            with pytest.raises(error, match=match):
+                process_from_json(data)
+
+    @pytest.mark.parametrize("stage", [1.0, 1.9, "1", True])
+    def test_condition_stage_must_be_an_integer(self, spin, stage):
+        data = process_to_json(spin[0])
+        data[2]["condition"]["stage"] = stage
+        with pytest.raises(TypeError, match="'stage' must be a JSON integer"):
+            process_from_json(data)
+
 
 # ---------------------------------------------------------------------------
 # The queries' per-call atom memo.  prob_of, holds_surely and
