@@ -5,7 +5,8 @@ data).  Rationals are printed exactly, never as decimals, and a report is
 byte-for-byte reproducible from the same argv and seed.
 
 Exit codes: 0 on success (including "law holds"), 1 when a counterexample
-was found, 2 on usage, file or parse errors and on input nested too deeply.
+was found, 2 on usage, file or parse errors, on input nested too deeply and
+when stdout is closed before the report is written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -35,7 +37,7 @@ from .lattice import (
     subspace_from_json,
     subspace_to_json,
 )
-from .linalg import vector_from_json
+from .linalg import _digit_run, vector_from_json
 from .process import (
     check_distributivity,
     histories_to_json,
@@ -56,6 +58,11 @@ def _read_input(inputs: dict, key: str, path: str) -> str:
         blob = fh.read()
     inputs[key] = {"path": path, "sha256": hashlib.sha256(blob).hexdigest()}
     return blob.decode("utf-8")
+
+
+def _load_json(text: str):
+    """Parse a JSON input; an over-long integer is reported in the scalar grammar's words."""
+    return json.loads(text, parse_int=_digit_run)
 
 
 # Per process demo: its builder, and the (left, connective, right)
@@ -117,18 +124,9 @@ def _two_state_json(verdict: TwoStateVerdict) -> dict:
 
 
 def _demo_two_state() -> dict:
-    by_field = {
-        field: _two_state_json(two_state_demo(field))
-        for field in (RATIONAL_REAL, GAUSSIAN_RATIONAL)
-    }
-    per_field = list(by_field.values())
-    agree = all(
-        entry["left"]["label"] == per_field[0]["left"]["label"]
-        and entry["right"]["label"] == per_field[0]["right"]["label"]
-        and entry["verdict"] == per_field[0]["verdict"]
-        for entry in per_field
-    )
-    by_field["fields_agree"] = agree
+    by_field = {f: _two_state_json(two_state_demo(f)) for f in (RATIONAL_REAL, GAUSSIAN_RATIONAL)}
+    readings = {(e["left"]["label"], e["right"]["label"], e["verdict"]) for e in by_field.values()}
+    by_field["fields_agree"] = len(readings) == 1
     return by_field
 
 
@@ -145,9 +143,9 @@ def _cmd_lattice(args) -> tuple[dict, dict, int]:
     if not binary and args.fileB is not None:
         raise ValueError("lattice ortho takes a single subspace file")
     inputs = {}
-    a = subspace_from_json(json.loads(_read_input(inputs, "fileA", args.fileA)))
+    a = subspace_from_json(_load_json(_read_input(inputs, "fileA", args.fileA)))
     if binary:
-        b = subspace_from_json(json.loads(_read_input(inputs, "fileB", args.fileB)))
+        b = subspace_from_json(_load_json(_read_input(inputs, "fileB", args.fileB)))
     if args.op == "meet":
         results = {"result": subspace_to_json(meet(a, b))}
     elif args.op == "join":
@@ -183,8 +181,8 @@ def _cmd_props(args) -> tuple[dict, dict, int]:
     inputs = {}
     prop_text = _read_input(inputs, "prop_file", args.prop_file)
     state_text = _read_input(inputs, "state_file", args.state_file)
-    prop = proposition_from_json(json.loads(prop_text))
-    state = vector_from_json(json.loads(state_text)["state"])
+    prop = proposition_from_json(_load_json(prop_text))
+    state = vector_from_json(_load_json(state_text)["state"])
     return {"value": evaluate(prop, state)}, inputs, 0
 
 
@@ -283,9 +281,18 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True)
     else:
-        print("\n".join(_render_text(report)))
+        text = "\n".join(_render_text(report))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # an output error, not a verdict; fd 1 on /dev/null keeps the exit-time flush from failing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("ortholab: error: stdout closed before the report was written", file=sys.stderr)
+        return 2
     return code
 
 

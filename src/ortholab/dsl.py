@@ -11,10 +11,11 @@ Grammar (ASCII, with unicode aliases):
 
 ``!`` binds tighter than ``&``, which binds tighter than ``|``; the binary
 connectives associate to the left.  The same statement can be checked
-against two kinds of structure: the subspace lattice, where ``&``/``|``/``!``
-mean meet/span/orthocomplement, or an algebra of subsets of a finite
-universe, where they mean the ordinary set operations.  The first reading
-has counterexamples to distributivity; the second cannot.
+against two kinds of structure, and ``&``/``|``/``<=`` are the elements' own
+operations: meet/span/inclusion of subspaces, or the set operations of
+subsets of a finite universe.  A structure adds only what its elements
+lack: the constants, the complement and sampling.  The first reading has
+counterexamples to distributivity; the second cannot.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from dataclasses import dataclass
 from .lattice import (
     GAUSSIAN_RATIONAL,
     Subspace,
-    join as subspace_join,
-    leq as subspace_leq,
-    meet as subspace_meet,
     ortho as subspace_ortho,
     random_subspace,
     subspace_to_json,
@@ -100,12 +98,16 @@ class Not(Term):
 class And(Term):
     left: Term
     right: Term
+    symbol = "&"  # unannotated: class attributes, not dataclass fields
+    prec = 2
 
 
 @dataclass(frozen=True)
 class Or(Term):
     left: Term
     right: Term
+    symbol = "|"
+    prec = 1
 
 
 class Relation(enum.Enum):
@@ -186,6 +188,10 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+# Binary connectives by token kind; a higher ``prec`` binds tighter.
+_BINARY = {"AND": And, "OR": Or}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -209,11 +215,8 @@ class _Parser:
     def statement(self) -> IdentityStatement:
         lhs = self.term()
         tok = self.peek()
-        if tok.kind == "EQ":
-            relation = Relation.EQUAL
-        elif tok.kind == "LEQ":
-            relation = Relation.LEQ
-        else:
+        relation = {"EQ": Relation.EQUAL, "LEQ": Relation.LEQ}.get(tok.kind)
+        if relation is None:
             found = tok.text or "end of input"
             raise IdentitySyntaxError(f"expected '=' or '<=', found {found!r}", tok.position)
         self.advance()
@@ -221,18 +224,12 @@ class _Parser:
         self.expect("EOF", "end of input")
         return IdentityStatement(lhs, rhs, relation)
 
-    def term(self) -> Term:
-        node = self.and_term()
-        while self.peek().kind == "OR":
-            self.advance()
-            node = Or(node, self.and_term())
-        return node
-
-    def and_term(self) -> Term:
+    def term(self, min_prec: int = 1) -> Term:
+        # precedence climbing: a right operand takes only tighter connectives (left-assoc)
         node = self.unary()
-        while self.peek().kind == "AND":
+        while (op := _BINARY.get(self.peek().kind)) is not None and op.prec >= min_prec:
             self.advance()
-            node = And(node, self.unary())
+            node = op(node, self.term(op.prec + 1))
         return node
 
     def unary(self) -> Term:
@@ -291,11 +288,6 @@ def parse_statement_lines(text: str) -> list:
 
 # Printer: minimal parentheses, inverse of the parser on ASTs.
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_ATOM = 4
-
 
 def _fmt(term: Term, min_prec: int) -> str:
     if isinstance(term, Var):
@@ -305,17 +297,12 @@ def _fmt(term: Term, min_prec: int) -> str:
     if isinstance(term, Bottom):
         return "0"
     if isinstance(term, Not):
-        text = "!" + _fmt(term.child, _PREC_NOT)
-        prec = _PREC_NOT
-    elif isinstance(term, And):
-        text = f"{_fmt(term.left, _PREC_AND)} & {_fmt(term.right, _PREC_AND + 1)}"
-        prec = _PREC_AND
-    elif isinstance(term, Or):
-        text = f"{_fmt(term.left, _PREC_OR)} | {_fmt(term.right, _PREC_OR + 1)}"
-        prec = _PREC_OR
-    else:
-        raise TypeError(f"not a term node: {term!r}")
-    return f"({text})" if prec < min_prec else text
+        # "!" binds tighter than every binary connective
+        return "!" + _fmt(term.child, And.prec + 1)
+    if isinstance(term, (And, Or)):
+        text = f"{_fmt(term.left, term.prec)} {term.symbol} {_fmt(term.right, term.prec + 1)}"
+        return f"({text})" if term.prec < min_prec else text
+    raise TypeError(f"not a term node: {term!r}")
 
 
 def format_term(term: Term) -> str:
@@ -358,17 +345,8 @@ class SubspaceLattice:
     def bottom(self):
         return Subspace.zero(self.space_dim)
 
-    def meet(self, a, b):
-        return subspace_meet(a, b)
-
-    def join(self, a, b):
-        return subspace_join(a, b)
-
     def complement(self, a):
         return subspace_ortho(a)
-
-    def leq(self, a, b):
-        return subspace_leq(a, b)
 
     def random_element(self, rng):
         return random_subspace(rng, self.space_dim, self.field)
@@ -396,17 +374,9 @@ class BooleanSetAlgebra:
     def bottom(self):
         return frozenset()
 
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
     def complement(self, a):
+        # a frozenset cannot complement itself without its universe
         return self.top() - a
-
-    def leq(self, a, b):
-        return a <= b
 
     def elements(self):
         # fixed enumeration order: subset k has member i iff bit i of k is set
@@ -429,7 +399,7 @@ class UnboundVariableError(KeyError):
 
 
 def eval_term(term: Term, assignment: dict, structure):
-    """Value of a term under an assignment, in the given structure."""
+    """Value of a term under an assignment; the elements supply meet, join and order."""
     if isinstance(term, Var):
         try:
             return assignment[term.name]
@@ -441,16 +411,10 @@ def eval_term(term: Term, assignment: dict, structure):
         return structure.bottom()
     if isinstance(term, Not):
         return structure.complement(eval_term(term.child, assignment, structure))
-    if isinstance(term, And):
-        return structure.meet(
-            eval_term(term.left, assignment, structure),
-            eval_term(term.right, assignment, structure),
-        )
-    if isinstance(term, Or):
-        return structure.join(
-            eval_term(term.left, assignment, structure),
-            eval_term(term.right, assignment, structure),
-        )
+    if isinstance(term, (And, Or)):
+        left = eval_term(term.left, assignment, structure)
+        right = eval_term(term.right, assignment, structure)
+        return left & right if isinstance(term, And) else left | right
     raise TypeError(f"not a term node: {term!r}")
 
 
@@ -533,7 +497,7 @@ def check(stmt: IdentityStatement, structure, trials: int = 1000, seed=0) -> Che
         mode = "random"
         rngs = (substream(seed, trial) for trial in range(trials))
         assignments = ({name: structure.random_element(rng) for name in names} for rng in rngs)
-    holds = structure.leq if stmt.relation is Relation.LEQ else operator.eq
+    holds = operator.le if stmt.relation is Relation.LEQ else operator.eq
     for trial, assignment in enumerate(assignments):
         lhs = eval_term(stmt.lhs, assignment, structure)
         rhs = eval_term(stmt.rhs, assignment, structure)

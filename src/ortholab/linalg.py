@@ -52,7 +52,15 @@ class ScalarParseError(ValueError):
 
 
 def _to_rational(value, what="scalar parts"):
-    """``value`` as a Rational; floats are refused, since they are not exact."""
+    """``value`` as a Rational: a string must be real in the scalar grammar; floats are refused."""
+    if isinstance(value, str):
+        try:
+            z = parse_scalar(value)
+        except ScalarParseError as exc:
+            raise ScalarParseError(f"{what}: {exc}") from None
+        if z.im:
+            raise ValueError(f"{what} must be real, not {value!r}")
+        return z.re
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: {what} must be exact rationals")
     return Rational(value)
@@ -162,6 +170,8 @@ def parse_scalar(text: str) -> Scalar:
     Accepted forms: ``3``, ``-1/2``, ``i``, ``-i``, ``2i``, ``1+i``,
     ``3/4-1/3i``.  A real part, when present, precedes the imaginary part.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"scalars must be strings in the scalar grammar, not {text!r}")
     s = text.strip()
     if not s:
         raise ScalarParseError("empty scalar text")
@@ -618,10 +628,7 @@ def _json_rational(text, what: str) -> Rational:
     """A real rational wire field: a string in the scalar grammar."""
     if not isinstance(text, str):
         raise TypeError(f"{what} must be strings in the scalar grammar, not {text!r}")
-    value = parse_scalar(text)
-    if value.im:
-        raise ValueError(f"{what} must be real, not {text!r}")
-    return value.re
+    return _to_rational(text, what)
 
 
 def _json_field(data, key: str, kind: type):

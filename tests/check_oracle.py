@@ -2,11 +2,12 @@
 
 ``check``, ``_relation_holds`` and ``_make_counterexample`` are copied
 verbatim from ``ortholab.dsl`` as it was before the checker became one
-assignment loop, with one substitution: ``structure.equal(lhs, rhs)``, a
-method that only ever returned ``lhs == rhs``, is written out as
-``lhs == rhs``.  ``report_json`` is the old ``CheckReport.to_json``, which
-described the structure by testing its type.  ``tests/test_check_oracle.py``
-checks that the current checker reports the same JSON.
+assignment loop, with two substitutions: ``structure.equal(lhs, rhs)`` and
+``structure.leq(lhs, rhs)``, methods that only ever returned ``lhs == rhs``
+and ``lhs <= rhs``, are written out as those comparisons.  ``report_json``
+is the old ``CheckReport.to_json``, which described the structure by
+testing its type.  ``tests/test_check_oracle.py`` checks that the current
+checker reports the same JSON.
 """
 
 import itertools
@@ -31,7 +32,7 @@ def _relation_holds(stmt: IdentityStatement, structure, assignment) -> bool:
     rhs = eval_term(stmt.rhs, assignment, structure)
     if stmt.relation is Relation.EQUAL:
         return lhs == rhs
-    return structure.leq(lhs, rhs)
+    return lhs <= rhs
 
 
 def check(stmt: IdentityStatement, structure, trials: int = 1000, seed=0) -> CheckReport:
