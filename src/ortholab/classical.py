@@ -186,5 +186,5 @@ def classical_state_to_json(state: ClassicalState) -> dict:
 def classical_state_from_json(data) -> ClassicalState:
     return ClassicalState(
         PhaseSpace(tuple(data["points"])),
-        vector_from_json(data["amplitude"]),
+        vector_from_json(data["amplitude"], "amplitude"),
     )

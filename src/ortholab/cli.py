@@ -182,7 +182,7 @@ def _cmd_props(args) -> tuple[dict, dict, int]:
     prop_text = _read_input(inputs, "prop_file", args.prop_file)
     state_text = _read_input(inputs, "state_file", args.state_file)
     prop = proposition_from_json(_load_json(prop_text))
-    state = vector_from_json(_load_json(state_text)["state"])
+    state = vector_from_json(_load_json(state_text)["state"], "state")
     return {"value": evaluate(prop, state)}, inputs, 0
 
 

@@ -106,7 +106,7 @@ class Subspace:
         """Exact membership test (the zero vector belongs to every subspace)."""
         if v.dim != self.space_dim:
             raise ValueError(f"vector dim {v.dim} != space_dim {self.space_dim}")
-        stacked = [list(row) for row in self.rows] + [_integer_row(v.entries)[0]]
+        stacked = [list(row) for row in self.rows] + [list(v.parts)]
         return len(_reduce(stacked, self.space_dim)) == self.dim
 
     def __and__(self, other):
@@ -151,7 +151,7 @@ def span(vectors, space_dim: int) -> Subspace:
     for v in vectors:
         if v.dim != space_dim:
             raise ValueError(f"vector dim {v.dim} != space_dim {space_dim}")
-    return _canonical([_integer_row(v.entries)[0] for v in vectors], space_dim)
+    return _canonical([list(v.parts) for v in vectors], space_dim)
 
 
 def ortho(s: Subspace) -> Subspace:
@@ -273,5 +273,5 @@ def subspace_to_json(s: Subspace) -> dict:
 
 def subspace_from_json(data) -> Subspace:
     space_dim = _json_field(data, "space_dim", int)
-    vectors = [vector_from_json(row) for row in data["basis"]]
+    vectors = [vector_from_json(row, "basis rows") for row in data["basis"]]
     return span(vectors, space_dim)

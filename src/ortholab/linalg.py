@@ -5,10 +5,10 @@ kept in canonical reduced form, so subspace equality, Born probabilities
 and expectation values downstream are all decidable exactly.  No operation
 in this module introduces a tolerance.
 
-The hot paths run fraction-free: row reduction, ``inner`` and
-``Matrix @ Vector`` work on rows flattened to Gaussian integers over one
-common denominator (``_integer_row``) and build one ``Fraction`` per part
-of what they return.
+The hot paths are fraction-free: a Vector is its entries flattened to
+Gaussian integers over one denominator, and row reduction, ``inner`` and
+``Matrix @ Vector`` work on integer rows.  Scalars exist only at the
+boundary: indexing, printing, wire formats and what ``inner`` returns.
 
 Values (Scalar, Vector, Matrix) are immutable after construction and safe
 to share between concurrent tasks.
@@ -143,6 +143,11 @@ def _scalar_over(re: int, im: int, den: int) -> Scalar:
     return _scalar(Fraction(re, den) if re else RAT_ZERO, Fraction(im, den) if im else RAT_ZERO)
 
 
+def _scalars(parts, den: int) -> tuple:
+    # the Scalars of flattened Gaussian integers (re0, im0, re1, im1, ...) over den
+    return tuple(_scalar_over(re, im, den) for re, im in zip(parts[::2], parts[1::2]))
+
+
 SC_ZERO = Scalar(0)
 SC_ONE = Scalar(1)
 SC_I = Scalar(0, 1)
@@ -254,40 +259,54 @@ def _as_scalar(value) -> Scalar:
 
 
 class Vector:
-    """Immutable state vector; entries are Scalars, not required normalized."""
+    """Immutable state vector, not required normalized.
 
-    __slots__ = ("entries",)
+    A Vector is its entries flattened to Gaussian integers ``parts``
+    (``re0, im0, re1, im1, ...``) over one positive denominator ``den``, with
+    ``gcd(den, *parts) == 1``.  That form is unique, so ``==`` and ``hash``
+    read it directly.  ``entries``, the Scalars, is built on first use.
+    """
+
+    __slots__ = ("parts", "den", "_entries")
 
     def __init__(self, entries):
-        self.entries = tuple(_as_scalar(e) for e in entries)
-        if not self.entries:
+        self._entries = tuple(_as_scalar(e) for e in entries)
+        if not self._entries:
             raise ValueError("vectors must have positive dimension")
+        parts, self.den = _integer_row(self._entries)
+        self.parts = tuple(parts)
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            self._entries = _scalars(self.parts, self.den)
+        return self._entries
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.parts) // 2
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.parts)
 
     def scale(self, factor) -> "Vector":
-        z = _as_scalar(factor)
-        return Vector(tuple(z * e for e in self.entries))
+        (a, b), d = _integer_row((_as_scalar(factor),))
+        pairs = zip(self.parts[::2], self.parts[1::2])
+        return _vector([z for x, y in pairs for z in (a * x - b * y, a * y + b * x)], d * self.den)
 
     def __add__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
         _same_dim(self.dim, other.dim)
-        return Vector(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return _vector([p * x + q * y for x, y in zip(self.parts, other.parts)], den)
 
     def __sub__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        _same_dim(self.dim, other.dim)
-        return Vector(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self + other.scale(-1) if isinstance(other, Vector) else NotImplemented
 
     def __len__(self):
-        return len(self.entries)
+        return self.dim
 
     def __iter__(self):
         return iter(self.entries)
@@ -298,13 +317,25 @@ class Vector:
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.den, self.parts))
 
     def __repr__(self):
         return f"vec({', '.join(repr(str(e)) for e in self.entries)})"
+
+
+def _vector(parts, den: int) -> Vector:
+    """The Vector ``parts / den`` for ints, ``den > 0``: the gcd is divided out."""
+    if not parts:
+        raise ValueError("vectors must have positive dimension")
+    g = gcd(den, *parts)
+    v = Vector.__new__(Vector)
+    v.parts = tuple(x // g for x in parts) if g > 1 else tuple(parts)
+    v.den = den // g
+    v._entries = None
+    return v
 
 
 def vec(*entries) -> Vector:
@@ -320,12 +351,11 @@ def _same_dim(a: int, b: int):
 def inner(v: Vector, w: Vector) -> Scalar:
     """Hermitian inner product, conjugate-linear in the FIRST argument."""
     _same_dim(v.dim, w.dim)
-    x, dx = _integer_row(v.entries)
-    y, dy = (x, dx) if w is v else _integer_row(w.entries)
+    x, y = v.parts, w.parts
     # conj(a) * b, summed: the real part pairs like parts, the imaginary part crosses them
     re = sum(map(mul, x, y))
     im = sum(map(mul, x[::2], y[1::2])) - sum(map(mul, x[1::2], y[::2]))
-    return _scalar_over(re, im, dx * dy)
+    return _scalar_over(re, im, v.den * w.den)
 
 
 def outer(v: Vector, w: Vector) -> "Matrix":
@@ -343,7 +373,7 @@ class Matrix:
 
     def __init__(self, rows, ncols: int | None = None):
         self.rows = tuple(tuple(_as_scalar(e) for e in row) for row in rows)
-        self._int = None  # (re parts, im parts, scale) per row, filled on first matvec
+        self._int = None  # (scale, (re parts, im parts) per row), filled on first matvec
         if self.rows:
             widths = {len(r) for r in self.rows}
             if len(widths) != 1:
@@ -367,12 +397,7 @@ class Matrix:
     def diagonal(cls, *entries) -> "Matrix":
         diag = tuple(_as_scalar(e) for e in entries)
         n = len(diag)
-        return cls(
-            tuple(
-                tuple(diag[i] if i == j else SC_ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
+        return cls(tuple(tuple(diag[i] if i == j else SC_ZERO for j in range(n)) for i in range(n)))
 
     @property
     def nrows(self) -> int:
@@ -392,10 +417,7 @@ class Matrix:
         if not self.rows:
             raise ValueError("cannot transpose a matrix with no rows")
         return Matrix(
-            tuple(
-                tuple(self.rows[i][j].conjugate() for i in range(self.nrows))
-                for j in range(self._ncols)
-            ),
+            tuple(tuple(row[j].conjugate() for row in self.rows) for j in range(self._ncols)),
             ncols=self.nrows,
         )
 
@@ -409,10 +431,7 @@ class Matrix:
         if self.nrows != other.nrows or self._ncols != other._ncols:
             raise ValueError("matrix shapes differ")
         return Matrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
+            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
             ncols=self._ncols,
         )
 
@@ -425,30 +444,26 @@ class Matrix:
         if isinstance(other, Vector):
             _same_dim(self._ncols, other.dim)
             if self._int is None:
-                self._int = tuple(
-                    (ints[::2], ints[1::2], scale) for ints, scale in map(_integer_row, self.rows)
-                )
-            x, dx = _integer_row(other.entries)
+                # one scale for every entry, so the product has one denominator
+                flat, scale = _integer_row([e for row in self.rows for e in row])
+                w = 2 * self._ncols
+                rows = [flat[k : k + w] for k in range(0, len(flat), w)]
+                self._int = scale, [(row[::2], row[1::2]) for row in rows]
+            scale, rows = self._int
+            x = other.parts
             xre, xim = x[::2], x[1::2]
             out = []
-            for are, aim, scale in self._int:
+            for are, aim in rows:
                 # (a + bi)(c + di) = (ac - bd) + (ad + bc)i, summed along the row
-                re = sum(map(mul, are, xre)) - sum(map(mul, aim, xim))
-                im = sum(map(mul, are, xim)) + sum(map(mul, aim, xre))
-                out.append(_scalar_over(re, im, scale * dx))
-            return Vector(out)
+                out.append(sum(map(mul, are, xre)) - sum(map(mul, aim, xim)))
+                out.append(sum(map(mul, are, xim)) + sum(map(mul, aim, xre)))
+            return _vector(out, scale * other.den)
         if isinstance(other, Matrix):
             _same_dim(self._ncols, other.nrows)
-            cols = other._ncols
+            cols = tuple(zip(*other.rows))
             return Matrix(
-                tuple(
-                    tuple(
-                        sum((row[k] * other.rows[k][j] for k in range(self._ncols)), SC_ZERO)
-                        for j in range(cols)
-                    )
-                    for row in self.rows
-                ),
-                ncols=cols,
+                tuple(tuple(sum(map(mul, row, col), SC_ZERO) for col in cols) for row in self.rows),
+                ncols=other._ncols,
             )
         return NotImplemented
 
@@ -499,11 +514,8 @@ class Matrix:
 
 
 def _integer_row(row) -> tuple:
-    """``(ints, scale)``: a row of Scalars as flattened Gaussian integers over one denominator.
-
-    ``scale`` is the lcm of the denominators of all parts, so the row equals
-    ``ints / scale`` part by part.
-    """
+    """``(ints, scale)``: Scalars as flattened Gaussian integers ``ints / scale``, ``scale`` the
+    lcm of the parts' denominators (so ``gcd(scale, *ints) == 1``)."""
     parts = [x for e in row for x in (e.re, e.im)]
     scale = lcm(*[x.denominator for x in parts])
     return [x.numerator * (scale // x.denominator) for x in parts], scale
@@ -590,15 +602,9 @@ def _complement_rows(rows, ncols) -> list:
     return _null_rows(conj, pivot_cols, ncols)
 
 
-def _rational_row(row) -> tuple:
-    """Scalars of an integer RREF row: the row divided by its pivot, its first nonzero part."""
-    pivot = next((x for x in row if x), 1)
-    parts = [Fraction(x, pivot) if x else RAT_ZERO for x in row]
-    return tuple(_scalar(parts[j], parts[j + 1]) for j in range(0, len(parts), 2))
-
-
 def _matrix(rows, ncols) -> Matrix:
-    return Matrix(tuple(_rational_row(row) for row in rows), ncols=ncols)
+    # each integer RREF row divided by its pivot, its first nonzero part
+    return Matrix(tuple(_scalars(row, next((x for x in row if x), 1)) for row in rows), ncols=ncols)
 
 
 def rref(m: Matrix) -> Matrix:
@@ -644,8 +650,14 @@ def vector_to_json(v: Vector) -> list:
     return [str(e) for e in v.entries]
 
 
-def vector_from_json(data) -> Vector:
-    return Vector(tuple(parse_scalar(e) for e in data))
+def _json_list(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise TypeError(f"{what} must be a JSON list of scalars, not {data!r}")
+    return data
+
+
+def vector_from_json(data, what: str = "vector") -> Vector:
+    return Vector(tuple(parse_scalar(e) for e in _json_list(data, what)))
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -656,5 +668,5 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(data) -> Matrix:
-    rows = [[parse_scalar(e) for e in row] for row in data["rows"]]
+    rows = [[parse_scalar(e) for e in _json_list(row, "matrix rows")] for row in data["rows"]]
     return Matrix(rows, ncols=_json_field(data, "ncols", int) if "ncols" in data else None)

@@ -15,6 +15,7 @@ measurement coexist in one Boolean expression without ambiguity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from types import MappingProxyType
 
 from .linalg import (
@@ -24,10 +25,10 @@ from .linalg import (
     _json_field,
     _json_rational,
     _to_rational,
-    inner,
     matrix_from_json,
     matrix_to_json,
     vector_from_json,
+    vector_to_json,
 )
 from .lattice import span
 from .propositions import (
@@ -251,10 +252,10 @@ def run(stages) -> tuple:
     _validate_process(stages)
     histories = []
     trace = []  # the entries of the branch being walked, one per stage so far
-    # each frame: (stage to run next, state, probability, entry for the stage before it)
-    stack = [(0, None, Rational(1), None)]
+    # each frame: (stage to run next, state, probability, entry for the stage before it, norm)
+    stack = [(0, None, Rational(1), None, None)]
     while stack:
-        idx, state, probability, entry = stack.pop()
+        idx, state, probability, entry, norm = stack.pop()
         if entry is not None:
             del trace[idx - 1 :]
             trace.append(entry)
@@ -262,23 +263,28 @@ def run(stages) -> tuple:
             histories.append(History(probability, tuple(trace)))
             continue
         st = stages[idx]
-        children = []  # (state, probability, outcome) after this stage, in outcome order
+        children = []  # the frame fields after this stage, in outcome order
         if isinstance(st, Prepare):
-            children.append((st.state, probability, "-"))
+            children.append((st.state, probability, "-", None))
         elif isinstance(st, Measure):
-            norm = inner(state, state).re
+            # psi = x / dx and P psi = y / dy, so <psi, P psi> = x.y / (dx dy) and
+            # <psi, psi> = x.x / dx^2; norm is x.x, carried from the measurement before
+            x, dx = state.parts, state.den
+            norm = sum(map(mul, x, x)) if norm is None else norm
             for out in st.observable.outcomes:
                 post = out.projector @ state
-                weight = inner(state, post).re / norm
-                if weight == 0:
+                xy, dy = sum(map(mul, x, post.parts)), post.den
+                if not xy:
                     continue
-                children.append((post, probability * weight, out.label))
+                # P is a hermitian projector, so |P psi|^2 = <psi, P psi>: y.y = xy dy / dx
+                weight = Rational(xy * dx, dy * norm)
+                children.append((post, probability * weight, out.label, xy * dy // dx))
         elif isinstance(st, ConditionalUnitary):
             cond = st.condition
             applies = trace[cond.stage].outcome == cond.label
-            children.append((st.matrix @ state if applies else state, probability, "-"))
+            children.append((st.matrix @ state if applies else state, probability, "-", None))
         elif isinstance(st, ClassicalPrepare):
-            children.append((st.point, probability, "-"))
+            children.append((st.point, probability, "-", None))
         elif isinstance(st, ClassicalStep):
             row = st.kernel.get(state)
             if row is None:
@@ -286,12 +292,12 @@ def run(stages) -> tuple:
             for target, p in row:
                 if p == 0:
                     continue
-                children.append((target, probability * p, target))
+                children.append((target, probability * p, target, None))
         else:  # pragma: no cover
             raise TypeError(f"unknown stage {st!r}")
         # pushed last-first, so the first outcome is walked first
-        for after, p, outcome in reversed(children):
-            stack.append((idx + 1, after, p, TraceEntry(idx, outcome, after)))
+        for after, p, outcome, n in reversed(children):
+            stack.append((idx + 1, after, p, TraceEntry(idx, outcome, after), n))
     return tuple(histories)
 
 
@@ -324,10 +330,10 @@ def _evaluate(formula, history, memo):
     """``evaluate_in`` with a ``memo`` dict: each atom is evaluated once per trace entry.
 
     ``memo`` is keyed on ``(id(atom), id(entry))``: ``run`` shares each
-    TraceEntry between all the histories through it, so the queries below
-    evaluate an atom once per distinct entry rather than once per history.
-    Each value pins its entry, so an id cannot be reused while the memo
-    lives.  Only atoms are memoised; connectives are always recomputed.
+    TraceEntry between all the histories through it, so an atom is
+    evaluated once per distinct entry.  Each value pins its entry, so an id
+    cannot be reused while the memo lives.  The queries walk a formula once
+    per distinct tuple of entries at its stages (``_truth_values``).
     """
 
     def leaf(atom):
@@ -354,20 +360,35 @@ def _atom_holds(atom: Atom, state) -> bool:
     return evaluate(atom.test, state)
 
 
+def _truth_values(formula, histories, memo):
+    """Yield ``(history, truth value)`` lazily, one walk per distinct tuple of trace entries.
+
+    The value depends only on the entries at ``formula_stages(formula)``.  It
+    is kept beside its history, which pins the ids in its key.  A history too
+    short for a stage is walked on its own, so ``state_at`` raises if it must.
+    """
+    stages = tuple(formula_stages(formula))
+    walked = {}  # tuple of id(entry) at the formula's stages, or id(history) -> (history, value)
+    for h in histories:
+        try:
+            key = tuple([id(h.trace[s]) for s in stages])
+        except IndexError:
+            key = id(h)
+        hit = walked.get(key)
+        if hit is None:
+            hit = walked[key] = (h, _evaluate(formula, h, memo))
+        yield h, hit[1]
+
+
 def holds_surely(formula: Proposition, histories) -> bool:
     """True iff the formula holds in every positive-probability history."""
-    memo = {}
-    return all(_evaluate(formula, h, memo) for h in histories)
+    return all(value for _, value in _truth_values(formula, histories, {}))
 
 
 def prob_of(formula: Proposition, histories):
     """Exact probability mass of the histories where the formula is true."""
-    memo = {}
-    total = Rational(0)
-    for h in histories:
-        if _evaluate(formula, h, memo):
-            total += h.probability
-    return total
+    values = _truth_values(formula, histories, {})
+    return sum((h.probability for h, value in values if value), Rational(0))
 
 
 def formula_stages(formula: Proposition) -> frozenset:
@@ -428,8 +449,7 @@ def check_distributivity(
     left: Proposition, right: Proposition, histories
 ) -> DistributivityVerdict:
     memo = {}
-    lvals = tuple(_evaluate(left, h, memo) for h in histories)
-    rvals = tuple(_evaluate(right, h, memo) for h in histories)
+    lvals, rvals = (tuple(v for _, v in _truth_values(f, histories, memo)) for f in (left, right))
     return DistributivityVerdict(
         left_true_in_all=all(lvals),
         left_false_in_all=not any(lvals),
@@ -546,7 +566,7 @@ def _observable_from_json(data) -> Observable:
 
 def stage_to_json(stage) -> dict:
     if isinstance(stage, Prepare):
-        return {"kind": "prepare", "state": [str(e) for e in stage.state]}
+        return {"kind": "prepare", "state": vector_to_json(stage.state)}
     if isinstance(stage, Measure):
         return {"kind": "measure", "observable": _observable_to_json(stage.observable)}
     if isinstance(stage, ConditionalUnitary):
@@ -571,7 +591,7 @@ def stage_to_json(stage) -> dict:
 def stage_from_json(data):
     kind = data["kind"]
     if kind == "prepare":
-        return Prepare(vector_from_json(data["state"]))
+        return Prepare(vector_from_json(data["state"], "state"))
     if kind == "measure":
         return Measure(_observable_from_json(data["observable"]))
     if kind == "conditional_unitary":
@@ -600,9 +620,7 @@ def process_from_json(data) -> tuple:
 
 
 def _state_to_json(state):
-    if isinstance(state, str):
-        return state
-    return [str(e) for e in state]
+    return state if isinstance(state, str) else vector_to_json(state)
 
 
 def histories_to_json(histories) -> list:

@@ -182,15 +182,12 @@ def expectation(observable: Matrix, state: Vector):
 
 
 def _expectation(observable: Matrix, state: Vector):
-    # expectation() without its checks on the state and the observable, for
-    # callers that made them already (ExpectationIn checks its observable once)
-    if observable.ncols != state.dim:
-        raise ValueError(f"dimension mismatch: {observable.ncols} vs {state.dim}")
+    # expectation() without its checks, for callers that made them already (ExpectationIn
+    # checks its observable once); ``observable @ state`` raises a dimension mismatch
     num = inner(state, observable @ state)
     if num.im != 0:
         raise ArithmeticError("hermitian expectation produced a nonzero imaginary part")
-    den = inner(state, state).re
-    return num.re / den
+    return num.re / inner(state, state).re
 
 
 def truth(node, leaf) -> bool:

@@ -7,13 +7,16 @@ over the Gaussian integers.  The ``oracle_*`` functions rebuild the public
 matrices) on top of it, exactly as they were, so tests can check that the
 integer kernel changes no exact answer.  ``oracle_inner`` and
 ``oracle_matvec`` are ``inner`` and ``Matrix @ Vector`` as they were before
-they too moved to Gaussian integers, with their bodies copied verbatim.
+they too moved to Gaussian integers, with their bodies copied verbatim;
+``oracle_scale``, ``oracle_add`` and ``oracle_sub`` are ``Vector.scale``,
+``+`` and ``-`` as they were while a Vector held Scalars, returning those
+Scalars.
 """
 
 from fractions import Fraction
 
 from ortholab.linalg import SC_ZERO, Matrix, Vector
-from ortholab.linalg import _same_dim, _scalar
+from ortholab.linalg import _as_scalar, _same_dim, _scalar
 
 RAT_ZERO = Fraction(0)
 RAT_ONE = Fraction(1)
@@ -162,3 +165,18 @@ def oracle_matvec(self: Matrix, other: Vector) -> Vector:
             for row in self.rows
         )
     )
+
+
+def oracle_scale(v: Vector, factor) -> tuple:
+    z = _as_scalar(factor)
+    return tuple(z * e for e in v.entries)
+
+
+def oracle_add(v: Vector, w: Vector) -> tuple:
+    _same_dim(v.dim, w.dim)
+    return tuple(a + b for a, b in zip(v.entries, w.entries))
+
+
+def oracle_sub(v: Vector, w: Vector) -> tuple:
+    _same_dim(v.dim, w.dim)
+    return tuple(a - b for a, b in zip(v.entries, w.entries))

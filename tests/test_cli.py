@@ -388,3 +388,45 @@ class TestInputFiles:
         code, out, err = run_cli(capsys, "lattice", "ortho", str(a))
         assert code == 2
         assert "utf-8" in err
+
+
+class TestVectorsAreJsonLists:
+    """A vector, a basis row and a matrix row must be JSON lists, not strings of characters."""
+
+    @staticmethod
+    def _write(tmp_path, name, value):
+        path = tmp_path / name
+        path.write_text(json.dumps(value))
+        return str(path)
+
+    def _assert_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"ortholab: error: {message}\n"
+
+    def test_state_string_is_rejected(self, capsys, tmp_path):
+        prop = self._write(tmp_path, "p.json", {"type": "equals", "vector": ["1", "0"]})
+        state = self._write(tmp_path, "s.json", {"state": "10"})
+        message = "state must be a JSON list of scalars, not '10'"
+        self._assert_rejected(capsys, ("props", "eval", prop, state), message)
+
+    def test_basis_row_string_is_rejected(self, capsys, tmp_path):
+        a = self._write(tmp_path, "a.json", {"space_dim": 2, "basis": ["10"]})
+        message = "basis rows must be a JSON list of scalars, not '10'"
+        self._assert_rejected(capsys, ("lattice", "ortho", a), message)
+
+    def test_matrix_row_string_is_rejected(self, capsys, tmp_path):
+        window = {"lo": "-inf", "hi": "inf", "lo_closed": True, "hi_closed": True}
+        observable = {"rows": ["10", "01"]}
+        prop = {"type": "expectation_in", "observable": observable, "set": [window]}
+        prop = self._write(tmp_path, "p.json", prop)
+        state = self._write(tmp_path, "s.json", {"state": ["1", "0"]})
+        message = "matrix rows must be a JSON list of scalars, not '10'"
+        self._assert_rejected(capsys, ("props", "eval", prop, state), message)
+
+    def test_equals_vector_string_is_rejected(self, capsys, tmp_path):
+        prop = self._write(tmp_path, "p.json", {"type": "equals", "vector": "10"})
+        state = self._write(tmp_path, "s.json", {"state": ["1", "0"]})
+        message = "vector must be a JSON list of scalars, not '10'"
+        self._assert_rejected(capsys, ("props", "eval", prop, state), message)

@@ -30,7 +30,17 @@ from ortholab.process import (
     spin_demo,
     spin_observable,
 )
-from ortholab.propositions import EqualsVector, ExpectationIn, InSubspace, Interval
+from ortholab.propositions import (
+    And,
+    Constant,
+    EqualsVector,
+    ExpectationIn,
+    InSubspace,
+    Interval,
+    Not,
+    Or,
+    evaluate,
+)
 from ortholab.propositions import FALSE as NEVER, TRUE as ALWAYS
 from ortholab.spin import (
     PROJ_Z_UP,
@@ -581,3 +591,167 @@ class TestQueryMemoWithSharedAtoms:
         histories = run(THREE_MEASUREMENTS)
         with pytest.raises(ValueError, match="out of range"):
             prob_of(Atom(InSubspace(span([X_UP], 2)), 5), histories)
+
+
+# ---------------------------------------------------------------------------
+# One formula walk per distinct tuple of trace entries.  The queries walk a
+# formula once for all the histories that hold the same entry objects at
+# every stage the formula reads; every answer must equal a plain evaluation
+# of each history on its own, kept here apart from the library's evaluator.
+# ---------------------------------------------------------------------------
+
+
+def _plain_truth(formula, history) -> bool:
+    """The formula's value in one history, by direct recursion over its nodes."""
+    if isinstance(formula, Constant):
+        return formula.value
+    if isinstance(formula, Not):
+        return not _plain_truth(formula.child, history)
+    if isinstance(formula, And):
+        return all(_plain_truth(c, history) for c in formula.children)
+    if isinstance(formula, Or):
+        return any(_plain_truth(c, history) for c in formula.children)
+    state = history.state_at(formula.stage)
+    if isinstance(formula.test, PointIs):
+        return state == formula.test.point
+    return evaluate(formula.test, state)
+
+
+def _assert_queries_match_plain_loop(left, right, histories):
+    lvals = tuple(_plain_truth(left, h) for h in histories)
+    rvals = tuple(_plain_truth(right, h) for h in histories)
+    mass = sum((h.probability for h, x in zip(histories, lvals) if x), Fraction(0))
+    assert prob_of(left, histories) == mass
+    assert holds_surely(left, histories) == all(lvals)
+    assert holds_surely(right, histories) == all(rvals)
+    verdict = check_distributivity(left, right, histories)
+    assert verdict.per_history == tuple(zip(lvals, rvals))
+    assert (verdict.left_true_in_all, verdict.right_false_in_all) == (all(lvals), not any(rvals))
+
+
+def _crossed_histories():
+    """Four histories: one entry shared by all at stage 0, and at stages 1
+    and 2 two entries each, every entry object shared by two histories, so
+    no single stage tells the four histories apart."""
+    e0 = TraceEntry(0, "-", X_UP)
+    up, down = TraceEntry(1, "y+", Y_UP), TraceEntry(1, "y-", Y_DOWN)
+    plus, minus = TraceEntry(2, "x+", X_UP), TraceEntry(2, "x-", X_DOWN)
+    quarter = Fraction(1, 4)
+    return tuple(
+        History(quarter, (e0, a, b)) for a, b in ((up, plus), (down, plus), (up, minus), (down, minus))
+    )
+
+
+class TestOneWalkPerEntryTuple:
+    def test_seeded_run_output_matches_plain_loop(self):
+        tests = _quantum_tests()
+        for trial in range(30):
+            rng = substream("walks/quantum", trial)
+            stages = THREE_MEASUREMENTS if trial % 3 == 0 else _random_quantum_process(rng)
+            histories = run(stages)
+            atoms = [Atom(t, k) for t in tests for k in range(len(stages))]
+            for _ in range(6):
+                left = _random_formula(rng, atoms, 3)
+                right = _random_formula(rng, atoms, 3)
+                _assert_queries_match_plain_loop(left, right, histories)
+
+    def test_demo_run_output_matches_plain_loop(self, spin, hatch):
+        for name, (_, named, histories) in (("spin", spin), ("hatch", hatch)):
+            atoms = list(named.values())
+            for trial in range(30):
+                rng = substream(f"walks/{name}", trial)
+                left = _random_formula(rng, atoms, 3)
+                right = _random_formula(rng, atoms, 3)
+                _assert_queries_match_plain_loop(left, right, histories)
+
+    def test_shared_entry_at_one_stage_differing_at_another(self):
+        histories = _crossed_histories()
+        y_up = Atom(InSubspace(span([Y_UP], 2)), 1)
+        x_up = Atom(InSubspace(span([X_UP], 2)), 2)
+        # true only in the first history, which shares an entry with two others
+        assert prob_of(y_up & x_up, histories) == Fraction(1, 4)
+        assert prob_of(y_up | x_up, histories) == Fraction(3, 4)
+        # false only in the third history: it shares each of its entries with another
+        assert holds_surely(~y_up | x_up, histories[:2])
+        assert not holds_surely(~y_up | x_up, histories)
+        verdict = check_distributivity(y_up & x_up, x_up & y_up, histories)
+        assert verdict.per_history == ((True, True),) + ((False, False),) * 3
+        tests = _quantum_tests()
+        atoms = [Atom(t, k) for t in tests for k in range(3)]
+        for trial in range(40):
+            rng = substream("walks/crossed", trial)
+            left = _random_formula(rng, atoms, 3)
+            right = _random_formula(rng, atoms, 3)
+            _assert_queries_match_plain_loop(left, right, histories)
+
+    def test_formula_is_walked_once_per_distinct_entry_tuple(self, monkeypatch):
+        walks = []
+
+        def counting(node, leaf):
+            walks.append(node)
+            return original(node, leaf)
+
+        original = process.truth
+        monkeypatch.setattr(process, "truth", counting)
+        x_up = InSubspace(span([X_UP], 2))
+        y_up = InSubspace(span([Y_UP], 2))
+        run_output = run(THREE_MEASUREMENTS)
+        for histories in (run_output, _crossed_histories()):
+            for stages in ((0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)):
+                formula = Atom(x_up, stages[0])
+                for k in stages[1:]:
+                    formula = formula | ~Atom(y_up, k)
+                distinct = {tuple(id(h.trace[k]) for k in stages) for h in histories}
+                walks.clear()
+                prob_of(formula, histories)
+                assert len(walks) == len(distinct)
+                walks.clear()
+                check_distributivity(formula, ~formula, histories)
+                assert len(walks) == 2 * len(distinct)
+        # six histories of the run share one entry at stage 0
+        walks.clear()
+        assert holds_surely(Atom(x_up, 0), run_output)
+        assert len(walks) == 1
+        # a formula with no atoms is walked once
+        walks.clear()
+        assert prob_of(ALWAYS, run_output) == 1
+        assert len(walks) == 1
+
+    def test_holds_surely_stops_at_the_first_false_history(self):
+        first, second, *rest = _crossed_histories()
+        y_up = Atom(InSubspace(span([Y_UP], 2)), 1)
+        taken = []
+        # too short for stage 1: walking it would raise
+        broken = History(HALF, (first.trace[0],))
+
+        def feed():
+            for h in (first, second, broken, *rest):
+                taken.append(h)
+                yield h
+
+        assert not holds_surely(y_up, feed())
+        assert taken == [first, second]
+
+    def test_out_of_range_stage_raises_from_every_query(self):
+        histories = _crossed_histories()
+        x_up = InSubspace(span([X_UP], 2))
+        for stage in (3, 7, -1):
+            formula = Atom(x_up, 0) & Atom(x_up, stage)
+            for query in (prob_of, holds_surely):
+                with pytest.raises(ValueError, match="out of range"):
+                    query(formula, histories)
+            with pytest.raises(ValueError, match="out of range"):
+                check_distributivity(formula, Atom(x_up, 0), histories)
+
+    def test_short_history_is_walked_on_its_own(self):
+        histories = _crossed_histories()
+        # the y- entry at stage 1 and no stage 2
+        short = History(HALF, histories[1].trace[:2])
+        y_up = Atom(InSubspace(span([Y_UP], 2)), 1)
+        x_up = Atom(InSubspace(span([X_UP], 2)), 2)
+        # the stage-2 atom is never reached in the short history, so it answers
+        formula = ~y_up | x_up
+        assert prob_of(formula, (short, histories[1])) == Fraction(3, 4)
+        assert prob_of(formula, (histories[2], short)) == HALF
+        with pytest.raises(ValueError, match="out of range"):
+            prob_of(~y_up & x_up, (histories[1], short))
