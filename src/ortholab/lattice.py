@@ -9,14 +9,12 @@ below is an exact decision, not an approximation.
 from __future__ import annotations
 
 import random
+from math import lcm
 
 from .linalg import (
     Matrix,
-    Rational,
-    Scalar,
     Vector,
     _complement_rows,
-    _integer_row,
     _json_field,
     _matrix,
     _reduce,
@@ -54,7 +52,7 @@ class Subspace:
     ``linalg._reduce``).  That form is unique, so two Subspace values are
     equal exactly when they denote the same subspace, and the lattice
     operations work on these integer rows throughout.  ``basis`` builds the
-    RREF Matrix of Scalars from them on each access.
+    RREF Matrix from them on each access.
 
     ``Subspace(space_dim, basis)`` is the row space of ``basis``: any
     spanning rows, reduced to the canonical form on construction.
@@ -66,7 +64,7 @@ class Subspace:
         if basis.ncols != space_dim:
             raise ValueError(f"basis width {basis.ncols} != space_dim {space_dim}")
         self.space_dim = space_dim
-        self.rows = _canonical([_integer_row(row)[0] for row in basis.rows], space_dim).rows
+        self.rows = _canonical([list(row) for row in basis.parts], space_dim).rows
 
     @classmethod
     def _from_rows(cls, space_dim: int, rows) -> "Subspace":
@@ -89,7 +87,7 @@ class Subspace:
 
     @property
     def basis(self) -> Matrix:
-        """The canonical RREF basis as a Matrix of Scalars (no zero rows)."""
+        """The canonical RREF basis as a Matrix (no zero rows)."""
         return _matrix(self.rows, self.space_dim)
 
     @property
@@ -199,6 +197,7 @@ def distributes(p: Subspace, q: Subspace, r: Subspace) -> bool:
 
 _NUMERATOR_BOUND = 3
 _DENOMINATORS = (1, 2, 3)
+_SCALE = lcm(*_DENOMINATORS)  # n / d is n * (_SCALE // d) / _SCALE
 
 
 def substream(seed, index: int) -> random.Random:
@@ -206,28 +205,32 @@ def substream(seed, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def _random_rational(rng: random.Random):
-    return Rational(rng.randint(-_NUMERATOR_BOUND, _NUMERATOR_BOUND), rng.choice(_DENOMINATORS))
-
-
 def random_subspace(rng: random.Random, space_dim: int, field: str = GAUSSIAN_RATIONAL) -> Subspace:
     """Draw a proper subspace: dimension uniform in 1..space_dim-1, small
-    rational entries, resampled until the requested rank is hit."""
+    rational entries, resampled until the requested rank is hit.
+
+    A seed must keep reproducing its subspace, so the draws are fixed: k
+    is ``randint(1, space_dim - 1)``, then come k rows of space_dim entries
+    in order.  An entry's real part n / d is ``randint(-3, 3)`` then
+    ``choice((1, 2, 3))`` (``_NUMERATOR_BOUND`` and ``_DENOMINATORS``); in
+    the Gaussian field its imaginary part is one more such pair.  A draw of
+    rank below k is drawn again whole.
+    """
     if space_dim < 2:
         raise ValueError("need space_dim >= 2 to sample a proper subspace")
     if field not in (GAUSSIAN_RATIONAL, RATIONAL_REAL):
         raise ValueError(f"unknown scalar field {field!r}")
     gaussian = field == GAUSSIAN_RATIONAL
-    k = rng.randint(1, space_dim - 1)
+    randint, choice = rng.randint, rng.choice
+    bound, dens = _NUMERATOR_BOUND, _DENOMINATORS
+    n_parts = 2 * space_dim if gaussian else space_dim  # drawn per row
+    k = randint(1, space_dim - 1)
     while True:
         rows = []
         for _ in range(k):
-            row = []
-            for _ in range(space_dim):
-                re = _random_rational(rng)
-                im = _random_rational(rng) if gaussian else 0
-                row.append(Scalar(re, im))
-            rows.append(_integer_row(row)[0])
+            # a row's parts in order, each times _SCALE: integers, which _reduce makes canonical
+            row = [randint(-bound, bound) * (_SCALE // choice(dens)) for _ in range(n_parts)]
+            rows.append(row if gaussian else [x for re in row for x in (re, 0)])
         candidate = _canonical(rows, space_dim)
         if candidate.dim == k:
             return candidate

@@ -5,10 +5,11 @@ kept in canonical reduced form, so subspace equality, Born probabilities
 and expectation values downstream are all decidable exactly.  No operation
 in this module introduces a tolerance.
 
-The hot paths are fraction-free: a Vector is its entries flattened to
-Gaussian integers over one denominator, and row reduction, ``inner`` and
-``Matrix @ Vector`` work on integer rows.  Scalars exist only at the
-boundary: indexing, printing, wire formats and what ``inner`` returns.
+The hot paths are fraction-free: a Vector, and each row of a Matrix, is
+its entries flattened to Gaussian integers over one denominator, and row
+reduction, ``inner`` and the Matrix arithmetic work on those integers.
+Scalars exist only at the boundary: values passed in, indexing, printing,
+wire formats and what ``inner`` and ``trace`` return.
 
 Values (Scalar, Vector, Matrix) are immutable after construction and safe
 to share between concurrent tasks.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 
 Rational = Fraction
 
@@ -148,9 +149,17 @@ def _scalars(parts, den: int) -> tuple:
     return tuple(_scalar_over(re, im, den) for re, im in zip(parts[::2], parts[1::2]))
 
 
+def _integer_row(row) -> tuple:
+    """``(ints, scale)``: Scalars as flattened Gaussian integers ``ints / scale``, ``scale`` the
+    lcm of the parts' denominators (so ``gcd(scale, *ints) == 1``).  The one place Scalars
+    become parts: a Vector or Matrix built from values, and a ``scale`` factor."""
+    parts = [x for e in row for x in (e.re, e.im)]
+    scale = lcm(*[x.denominator for x in parts])
+    return [x.numerator * (scale // x.denominator) for x in parts], scale
+
+
 SC_ZERO = Scalar(0)
 SC_ONE = Scalar(1)
-SC_I = Scalar(0, 1)
 
 
 def format_scalar(z: Scalar) -> str:
@@ -291,8 +300,7 @@ class Vector:
 
     def scale(self, factor) -> "Vector":
         (a, b), d = _integer_row((_as_scalar(factor),))
-        pairs = zip(self.parts[::2], self.parts[1::2])
-        return _vector([z for x, y in pairs for z in (a * x - b * y, a * y + b * x)], d * self.den)
+        return _vector(_times(self.parts, a, b), d * self.den)
 
     def __add__(self, other):
         if not isinstance(other, Vector):
@@ -360,22 +368,27 @@ def inner(v: Vector, w: Vector) -> Scalar:
 
 def outer(v: Vector, w: Vector) -> "Matrix":
     """Rank-one operator |v><w|: entry (j, k) is v_j * conj(w_k)."""
-    return Matrix(
-        tuple(tuple(a * b.conjugate() for b in w.entries) for a in v.entries),
-        ncols=w.dim,
-    )
+    rows = [_times(_conj(w.parts), a, b) for a, b in zip(v.parts[::2], v.parts[1::2])]
+    return _matrix_over(rows, v.den * w.den, w.dim)
 
 
 class Matrix:
-    """Immutable rectangular matrix of Scalars (zero rows allowed)."""
+    """Immutable rectangular matrix (zero rows allowed).
 
-    __slots__ = ("rows", "_ncols", "_int")
+    A Matrix is held as a Vector is: ``parts`` has each row's entries
+    flattened to Gaussian integers ``(re0, im0, re1, im1, ...)``, over one
+    positive denominator ``den`` for the whole matrix, with
+    ``gcd(den, *every part) == 1``.  That form is unique, so ``==`` and
+    ``hash`` read it directly, and the arithmetic works on it.  ``rows``,
+    the Scalars, is built on first use.
+    """
+
+    __slots__ = ("parts", "den", "_ncols", "_rows")
 
     def __init__(self, rows, ncols: int | None = None):
-        self.rows = tuple(tuple(_as_scalar(e) for e in row) for row in rows)
-        self._int = None  # (scale, (re parts, im parts) per row), filled on first matvec
-        if self.rows:
-            widths = {len(r) for r in self.rows}
+        self._rows = tuple(tuple(_as_scalar(e) for e in row) for row in rows)
+        if self._rows:
+            widths = {len(r) for r in self._rows}
             if len(widths) != 1:
                 raise ValueError("matrix rows must have equal length")
             width = widths.pop()
@@ -388,6 +401,16 @@ class Matrix:
             self._ncols = ncols
         if self._ncols < 1:
             raise ValueError("matrices must have positive column count")
+        # one scale for every entry, so the matrix has one denominator
+        flat, self.den = _integer_row([e for row in self._rows for e in row])
+        w = 2 * self._ncols
+        self.parts = tuple(tuple(flat[k : k + w]) for k in range(0, len(flat), w))
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = tuple(_scalars(row, self.den) for row in self.parts)
+        return self._rows
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -401,39 +424,41 @@ class Matrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.parts)
 
     @property
     def ncols(self) -> int:
         return self._ncols
 
     def row(self, i: int) -> Vector:
-        return Vector(self.rows[i])
+        return _vector(self.parts[i], self.den)
 
     def column(self, j: int) -> Vector:
-        return Vector(tuple(r[j] for r in self.rows))
+        return _vector(self._columns()[j], self.den)
+
+    def _columns(self) -> list:
+        # each column, flattened as a row is
+        pairs = range(0, 2 * self._ncols, 2)
+        return [[x for row in self.parts for x in row[k : k + 2]] for k in pairs]
 
     def conj_transpose(self) -> "Matrix":
-        if not self.rows:
+        if not self.parts:
             raise ValueError("cannot transpose a matrix with no rows")
-        return Matrix(
-            tuple(tuple(row[j].conjugate() for row in self.rows) for j in range(self._ncols)),
-            ncols=self.nrows,
-        )
+        return _matrix_over([_conj(col) for col in self._columns()], self.den, self.nrows)
 
     def scale(self, factor) -> "Matrix":
-        z = _as_scalar(factor)
-        return Matrix(tuple(tuple(z * e for e in row) for row in self.rows), ncols=self._ncols)
+        (a, b), d = _integer_row((_as_scalar(factor),))
+        return _matrix_over([_times(row, a, b) for row in self.parts], d * self.den, self._ncols)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.nrows != other.nrows or self._ncols != other._ncols:
             raise ValueError("matrix shapes differ")
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            ncols=self._ncols,
-        )
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        rows = [[p * x + q * y for x, y in zip(ra, rb)] for ra, rb in zip(self.parts, other.parts)]
+        return _matrix_over(rows, den, self._ncols)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -443,34 +468,20 @@ class Matrix:
     def __matmul__(self, other):
         if isinstance(other, Vector):
             _same_dim(self._ncols, other.dim)
-            if self._int is None:
-                # one scale for every entry, so the product has one denominator
-                flat, scale = _integer_row([e for row in self.rows for e in row])
-                w = 2 * self._ncols
-                rows = [flat[k : k + w] for k in range(0, len(flat), w)]
-                self._int = scale, [(row[::2], row[1::2]) for row in rows]
-            scale, rows = self._int
-            x = other.parts
-            xre, xim = x[::2], x[1::2]
-            out = []
-            for are, aim in rows:
-                # (a + bi)(c + di) = (ac - bd) + (ad + bc)i, summed along the row
-                out.append(sum(map(mul, are, xre)) - sum(map(mul, aim, xim)))
-                out.append(sum(map(mul, are, xim)) + sum(map(mul, aim, xre)))
-            return _vector(out, scale * other.den)
+            return _vector(_apply(self.parts, other.parts), self.den * other.den)
         if isinstance(other, Matrix):
             _same_dim(self._ncols, other.nrows)
-            cols = tuple(zip(*other.rows))
-            return Matrix(
-                tuple(tuple(sum(map(mul, row, col), SC_ZERO) for col in cols) for row in self.rows),
-                ncols=other._ncols,
-            )
+            # row j of the product is other's transpose (not conjugated) applied to row j
+            cols = other._columns()
+            rows = [_apply(cols, row) for row in self.parts]
+            return _matrix_over(rows, self.den * other.den, other._ncols)
         return NotImplemented
 
     def trace(self) -> Scalar:
         if self.nrows != self._ncols:
             raise ValueError("trace needs a square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), SC_ZERO)
+        diag = [row[2 * j : 2 * j + 2] for j, row in enumerate(self.parts)]
+        return _scalar_over(sum(re for re, _ in diag), sum(im for _, im in diag), self.den)
 
     def is_hermitian(self) -> bool:
         if self.nrows != self._ncols:
@@ -485,14 +496,53 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._ncols == other._ncols and self.rows == other.rows
+        return self._ncols == other._ncols and self.den == other.den and self.parts == other.parts
 
     def __hash__(self):
-        return hash((self._ncols, self.rows))
+        return hash((self._ncols, self.den, self.parts))
 
     def __repr__(self):
         body = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
         return f"Matrix([{body}], ncols={self._ncols})"
+
+
+def _matrix_over(rows, den: int, ncols: int) -> Matrix:
+    """The Matrix ``rows / den`` for flattened rows of ints, ``den > 0``: the gcd is divided out."""
+    g = gcd(den, *(x for row in rows for x in row))
+    m = Matrix.__new__(Matrix)
+    m.parts = tuple(tuple(x // g for x in row) if g > 1 else tuple(row) for row in rows)
+    m.den = den // g
+    m._ncols = ncols
+    m._rows = None
+    return m
+
+
+def _conj(parts) -> list:
+    # the conjugates of flattened Gaussian integers
+    out = list(parts)
+    out[1::2] = map(neg, parts[1::2])
+    return out
+
+
+def _times(parts, a: int, b: int) -> list:
+    # flattened Gaussian integers, each times a + bi
+    return [z for x, y in zip(parts[::2], parts[1::2]) for z in (a * x - b * y, a * y + b * x)]
+
+
+def _apply(rows, x) -> list:
+    """``rows @ x`` for flattened Gaussian-integer rows and vector parts ``x``, flattened.
+
+    (a + bi)(c + di) is (ac - bd) + (ad + bc)i, so a row's dot product
+    with ``conj(x)`` is the real part of its entry, and with ``x``'s parts
+    swapped pairwise, ``(d0, c0, d1, c1, ...)``, the imaginary part.
+    """
+    xc, xs = _conj(x), list(x)
+    xs[::2], xs[1::2] = x[1::2], x[::2]
+    out = []
+    for row in rows:
+        out.append(sum(map(mul, row, xc)))
+        out.append(sum(map(mul, row, xs)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,25 +550,18 @@ class Matrix:
 #
 # Elimination is fraction-free over the Gaussian integers, in the manner of
 # Bareiss 1968 but with gcd content reduction in place of exact division.
-# Rows are flattened to [re0, im0, re1, im1, ...] lists of Python ints:
-# _integer_row scales each input row by the lcm of its denominators.  A
-# pivot row is multiplied by the conjugate of its pivot, so every pivot is
-# a positive integer p, and a step is ``row <- p*row - f*prow``; each row it
-# changes is divided by the gcd of its parts.  What _reduce leaves is the
-# integer RREF: each nonzero row is its RREF row times the least positive
-# integer that makes every entry a Gaussian integer, and that integer is
-# its pivot entry.  That form is unique, so the lattice layer keeps
-# subspaces in it.  Rationals and Scalars are built only when a Matrix is
-# returned (_matrix), which divides each row by its pivot once.
+# Rows are flattened to [re0, im0, re1, im1, ...] lists of Python ints, as
+# a Vector or each row of a Matrix holds them; their common denominator
+# does not change the row space, so it is dropped.  A pivot row is
+# multiplied by the conjugate of its pivot, so every pivot is a positive
+# integer p, and a step is ``row <- p*row - f*prow``; each row it changes
+# is divided by the gcd of its parts.  What _reduce leaves is the integer
+# RREF: each nonzero row is its RREF row times the least positive integer
+# that makes every entry a Gaussian integer, and that integer is its pivot
+# entry.  That form is unique, so the lattice layer keeps subspaces in it.
+# A Matrix returned (_matrix) divides each row by its pivot, over the lcm
+# of the pivots; no Scalar is built until its ``rows`` are read.
 # ---------------------------------------------------------------------------
-
-
-def _integer_row(row) -> tuple:
-    """``(ints, scale)``: Scalars as flattened Gaussian integers ``ints / scale``, ``scale`` the
-    lcm of the parts' denominators (so ``gcd(scale, *ints) == 1``)."""
-    parts = [x for e in row for x in (e.re, e.im)]
-    scale = lcm(*[x.denominator for x in parts])
-    return [x.numerator * (scale // x.denominator) for x in parts], scale
 
 
 def _primitive(row) -> list:
@@ -597,30 +640,32 @@ def _complement_rows(rows, ncols) -> list:
     It is the nullspace of the conjugated rows.  Conjugation keeps them in
     integer RREF, since their pivots are real, so it is read straight off.
     """
-    conj = [[-x if j % 2 else x for j, x in enumerate(row)] for row in rows]
+    conj = [_conj(row) for row in rows]
     pivot_cols = [next(j for j, x in enumerate(row) if x) // 2 for row in rows]
     return _null_rows(conj, pivot_cols, ncols)
 
 
 def _matrix(rows, ncols) -> Matrix:
-    # each integer RREF row divided by its pivot, its first nonzero part
-    return Matrix(tuple(_scalars(row, next((x for x in row if x), 1)) for row in rows), ncols=ncols)
+    # each integer RREF row divided by its pivot, its first nonzero part: over the lcm of the pivots
+    pivots = [next((x for x in row if x), 1) for row in rows]
+    den = lcm(*pivots)
+    return _matrix_over([[x * (den // p) for x in row] for row, p in zip(rows, pivots)], den, ncols)
 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form: unit pivots, cleared pivot columns, zero rows last."""
-    rows = [_integer_row(row)[0] for row in m.rows]
+    rows = [list(row) for row in m.parts]
     _reduce(rows, m.ncols)
     return _matrix(rows, m.ncols)
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce([_integer_row(row)[0] for row in m.rows], m.ncols))
+    return len(_reduce([list(row) for row in m.parts], m.ncols))
 
 
 def nullspace(m: Matrix) -> Matrix:
     """RREF basis (as rows) of ``{x : m @ x = 0}``; has ncols - rank rows."""
-    rows = [_integer_row(row)[0] for row in m.rows]
+    rows = [list(row) for row in m.parts]
     pivot_cols = _reduce(rows, m.ncols)
     return _matrix(_null_rows(rows, pivot_cols, m.ncols), m.ncols)
 

@@ -449,6 +449,7 @@ def check_distributivity(
     left: Proposition, right: Proposition, histories
 ) -> DistributivityVerdict:
     memo = {}
+    histories = tuple(histories)  # both sides walk it, so an iterator is read once
     lvals, rvals = (tuple(v for _, v in _truth_values(f, histories, memo)) for f in (left, right))
     return DistributivityVerdict(
         left_true_in_all=all(lvals),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .linalg import (
     Matrix,
@@ -21,7 +22,6 @@ from .linalg import (
     _json_field,
     _json_rational,
     _to_rational,
-    inner,
     matrix_from_json,
     matrix_to_json,
     vector_from_json,
@@ -183,11 +183,14 @@ def expectation(observable: Matrix, state: Vector):
 
 def _expectation(observable: Matrix, state: Vector):
     # expectation() without its checks, for callers that made them already (ExpectationIn
-    # checks its observable once); ``observable @ state`` raises a dimension mismatch
-    num = inner(state, observable @ state)
-    if num.im != 0:
+    # checks its observable once); ``observable @ state`` raises a dimension mismatch.
+    # psi = x / dx and A psi = y / dy, so <psi, A psi> / <psi, psi> = (x.y) dx / (dy (x.x))
+    x, dx = state.parts, state.den
+    post = observable @ state
+    y, dy = post.parts, post.den
+    if sum(map(mul, x[::2], y[1::2])) != sum(map(mul, x[1::2], y[::2])):
         raise ArithmeticError("hermitian expectation produced a nonzero imaginary part")
-    return num.re / inner(state, state).re
+    return Rational(sum(map(mul, x, y)) * dx, dy * sum(map(mul, x, x)))
 
 
 def truth(node, leaf) -> bool:

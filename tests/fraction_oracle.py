@@ -10,12 +10,17 @@ integer kernel changes no exact answer.  ``oracle_inner`` and
 they too moved to Gaussian integers, with their bodies copied verbatim;
 ``oracle_scale``, ``oracle_add`` and ``oracle_sub`` are ``Vector.scale``,
 ``+`` and ``-`` as they were while a Vector held Scalars, returning those
-Scalars.
+Scalars.  ``ScalarMatrix`` is ``Matrix`` as it was while it held Scalar
+rows, its methods copied verbatim (``Matrix @ Vector`` is
+``oracle_matvec``), and ``oracle_expectation`` is the expectation value as
+it was computed from ``inner`` and ``Matrix @ Vector``.
 """
 
 from fractions import Fraction
 
-from ortholab.linalg import SC_ZERO, Matrix, Vector
+from operator import mul
+
+from ortholab.linalg import SC_ONE, SC_ZERO, Matrix, Vector
 from ortholab.linalg import _as_scalar, _same_dim, _scalar
 
 RAT_ZERO = Fraction(0)
@@ -180,3 +185,119 @@ def oracle_add(v: Vector, w: Vector) -> tuple:
 def oracle_sub(v: Vector, w: Vector) -> tuple:
     _same_dim(v.dim, w.dim)
     return tuple(a - b for a, b in zip(v.entries, w.entries))
+
+
+# Matrix arithmetic on Scalar rows.
+
+
+class ScalarMatrix:
+    """Immutable rectangular matrix of Scalars (zero rows allowed)."""
+
+    __slots__ = ("rows", "_ncols")
+
+    def __init__(self, rows, ncols: int | None = None):
+        self.rows = tuple(tuple(_as_scalar(e) for e in row) for row in rows)
+        if self.rows:
+            widths = {len(r) for r in self.rows}
+            if len(widths) != 1:
+                raise ValueError("matrix rows must have equal length")
+            width = widths.pop()
+            if ncols is not None and ncols != width:
+                raise ValueError(f"ncols={ncols} does not match row length {width}")
+            self._ncols = width
+        else:
+            if ncols is None:
+                raise ValueError("empty matrix needs an explicit ncols")
+            self._ncols = ncols
+        if self._ncols < 1:
+            raise ValueError("matrices must have positive column count")
+
+    @classmethod
+    def identity(cls, n: int) -> "ScalarMatrix":
+        return cls.diagonal(*(SC_ONE,) * n)
+
+    @classmethod
+    def diagonal(cls, *entries) -> "ScalarMatrix":
+        diag = tuple(_as_scalar(e) for e in entries)
+        n = len(diag)
+        return cls(tuple(tuple(diag[i] if i == j else SC_ZERO for j in range(n)) for i in range(n)))
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def ncols(self) -> int:
+        return self._ncols
+
+    def conj_transpose(self) -> "ScalarMatrix":
+        if not self.rows:
+            raise ValueError("cannot transpose a matrix with no rows")
+        return ScalarMatrix(
+            tuple(tuple(row[j].conjugate() for row in self.rows) for j in range(self._ncols)),
+            ncols=self.nrows,
+        )
+
+    def scale(self, factor) -> "ScalarMatrix":
+        z = _as_scalar(factor)
+        return ScalarMatrix(tuple(tuple(z * e for e in row) for row in self.rows), ncols=self._ncols)
+
+    def __add__(self, other):
+        if not isinstance(other, ScalarMatrix):
+            return NotImplemented
+        if self.nrows != other.nrows or self._ncols != other._ncols:
+            raise ValueError("matrix shapes differ")
+        return ScalarMatrix(
+            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
+            ncols=self._ncols,
+        )
+
+    def __sub__(self, other):
+        if not isinstance(other, ScalarMatrix):
+            return NotImplemented
+        return self + other.scale(-1)
+
+    def __matmul__(self, other):
+        if isinstance(other, ScalarMatrix):
+            _same_dim(self._ncols, other.nrows)
+            cols = tuple(zip(*other.rows))
+            return ScalarMatrix(
+                tuple(tuple(sum(map(mul, row, col), SC_ZERO) for col in cols) for row in self.rows),
+                ncols=other._ncols,
+            )
+        return NotImplemented
+
+    def trace(self):
+        if self.nrows != self._ncols:
+            raise ValueError("trace needs a square matrix")
+        return sum((self.rows[i][i] for i in range(self.nrows)), SC_ZERO)
+
+    def is_hermitian(self) -> bool:
+        if self.nrows != self._ncols:
+            raise ValueError("hermitian test needs a square matrix")
+        return self == self.conj_transpose()
+
+    def is_unitary(self) -> bool:
+        if self.nrows != self._ncols:
+            raise ValueError("unitary test needs a square matrix")
+        return self @ self.conj_transpose() == ScalarMatrix.identity(self.nrows)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScalarMatrix):
+            return NotImplemented
+        return self._ncols == other._ncols and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self._ncols, self.rows))
+
+    def __repr__(self):
+        body = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
+        return f"Matrix([{body}], ncols={self._ncols})"
+
+
+def oracle_expectation(observable: Matrix, state: Vector):
+    """``propositions._expectation``: <state, A state> / <state, state> from Scalars."""
+    num = oracle_inner(state, oracle_matvec(observable, state))
+    if num.im != 0:
+        raise ArithmeticError("hermitian expectation produced a nonzero imaginary part")
+    return num.re / oracle_inner(state, state).re

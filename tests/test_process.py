@@ -340,6 +340,19 @@ class TestDistributivityVerdicts:
             v = check_distributivity(left, right, histories)
             assert v.per_history_agree and v.satisfied
 
+    def test_histories_given_as_an_iterator(self, spin):
+        # both sides read the histories, so a one-pass iterator must give the tuple's verdict
+        _, f, histories = spin
+        pairs = (
+            (f["p_i"] & (f["q_o"] | f["r_o"]), (f["p_i"] & f["q_o"]) | (f["p_i"] & f["r_o"])),
+            (f["p_i"] & (f["q_o"] | f["r_o"]), (f["p_i"] & f["q_i"]) | (f["p_i"] & f["r_i"])),
+        )
+        for left, right in pairs:
+            expected = check_distributivity(left, right, histories)
+            got = check_distributivity(left, right, iter(histories))
+            assert got == expected
+            assert len(got.per_history) == len(histories) > 0
+
 
 class TestClassicalQuantumParallel:
     def test_hatch_matches_spin_verdicts(self, spin, hatch):
