@@ -14,6 +14,7 @@ from .linalg import (
     Matrix,
     Rational,
     Vector,
+    _json_object,
     _to_rational,
     inner,
     vec,
@@ -184,6 +185,7 @@ def classical_state_to_json(state: ClassicalState) -> dict:
 
 
 def classical_state_from_json(data) -> ClassicalState:
+    data = _json_object(data, "classical state")
     return ClassicalState(
         PhaseSpace(tuple(data["points"])),
         vector_from_json(data["amplitude"], "amplitude"),

@@ -12,48 +12,22 @@ when stdout is closed before the report is written.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 
 from . import __version__
-from .classical import TwoStateVerdict, two_state_demo
-from .dsl import (
-    BooleanSetAlgebra,
-    SubspaceLattice,
-    check,
-    parse_statement,
-    parse_statement_lines,
-)
-from .lattice import (
-    GAUSSIAN_RATIONAL,
-    RATIONAL_REAL,
-    Subspace,
-    join,
-    leq,
-    meet,
-    ortho,
-    subspace_from_json,
-    subspace_to_json,
-)
-from .linalg import _digit_run, vector_from_json
-from .process import (
-    check_distributivity,
-    histories_to_json,
-    holds_surely,
-    hatch_demo,
-    prob_of,
-    run,
-    spin_demo,
-)
-from .propositions import evaluate, proposition_from_json
+
+# Each handler imports the ortholab modules it runs on its first line, so a
+# command loads and compiles only those.
 
 __all__ = ["main"]
 
 
 def _read_input(inputs: dict, key: str, path: str) -> str:
     """Read ``path`` once: record its sha256 as ``inputs[key]`` and return its UTF-8 text."""
+    import hashlib
+
     with open(path, "rb") as fh:
         blob = fh.read()
     inputs[key] = {"path": path, "sha256": hashlib.sha256(blob).hexdigest()}
@@ -62,20 +36,31 @@ def _read_input(inputs: dict, key: str, path: str) -> str:
 
 def _load_json(text: str):
     """Parse a JSON input; an over-long integer is reported in the scalar grammar's words."""
+    from .linalg import _digit_run
+
     return json.loads(text, parse_int=_digit_run)
 
 
-# Per process demo: its builder, and the (left, connective, right)
-# combinations of its named atoms reported beside the atoms themselves.
+# The (left, connective, right) combinations of a process demo's named atoms
+# reported beside the atoms themselves.
 _COMBINATIONS = (("p_i", "&", "q_o"), ("q_i", "|", "r_i"), ("q_o", "|", "r_o"))
-_PROCESS_DEMOS = {
-    "spin": (spin_demo, _COMBINATIONS + (("q'_i", "|", "r'_i"), ("p_f", "|", "q_f"))),
-    "hatch": (hatch_demo, _COMBINATIONS),
-}
 
 
 def _demo_process(which: str) -> dict:
-    build, combinations = _PROCESS_DEMOS[which]
+    from .process import (
+        check_distributivity,
+        hatch_demo,
+        histories_to_json,
+        holds_surely,
+        prob_of,
+        run,
+        spin_demo,
+    )
+
+    build, combinations = {
+        "spin": (spin_demo, _COMBINATIONS + (("q'_i", "|", "r'_i"), ("p_f", "|", "q_f"))),
+        "hatch": (hatch_demo, _COMBINATIONS),
+    }[which]
     stages, formulas = build()
     histories = run(stages)
     named = dict(formulas)
@@ -102,7 +87,9 @@ def _demo_process(which: str) -> dict:
     }
 
 
-def _two_state_json(verdict: TwoStateVerdict) -> dict:
+def _two_state_json(verdict) -> dict:
+    from .lattice import Subspace, subspace_to_json
+
     labels = {
         verdict.certainly_first: "[k,0]",
         verdict.certainly_second: "[0,k]",
@@ -111,7 +98,7 @@ def _two_state_json(verdict: TwoStateVerdict) -> dict:
         Subspace.zero(2): "[0,0]",
     }
 
-    def side(s: Subspace) -> dict:
+    def side(s) -> dict:
         return {"label": labels.get(s, "?"), "subspace": subspace_to_json(s)}
 
     return {
@@ -124,6 +111,9 @@ def _two_state_json(verdict: TwoStateVerdict) -> dict:
 
 
 def _demo_two_state() -> dict:
+    from .classical import two_state_demo
+    from .lattice import GAUSSIAN_RATIONAL, RATIONAL_REAL
+
     by_field = {f: _two_state_json(two_state_demo(f)) for f in (RATIONAL_REAL, GAUSSIAN_RATIONAL)}
     readings = {(e["left"]["label"], e["right"]["label"], e["verdict"]) for e in by_field.values()}
     by_field["fields_agree"] = len(readings) == 1
@@ -137,6 +127,8 @@ def _cmd_demo(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_lattice(args) -> tuple[dict, dict, int]:
+    from .lattice import join, leq, meet, ortho, subspace_from_json, subspace_to_json
+
     binary = args.op in ("meet", "join", "leq")
     if binary and args.fileB is None:
         raise ValueError(f"lattice {args.op} needs two subspace files")
@@ -158,6 +150,14 @@ def _cmd_lattice(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_check(args) -> tuple[dict, dict, int]:
+    from .dsl import (
+        BooleanSetAlgebra,
+        SubspaceLattice,
+        check,
+        parse_statement,
+        parse_statement_lines,
+    )
+
     if (args.statement is None) == (args.file is None):
         raise ValueError("check needs exactly one of a statement argument or --file")
     if args.structure == "subspace":
@@ -178,11 +178,14 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_props(args) -> tuple[dict, dict, int]:
+    from .linalg import _json_object, vector_from_json
+    from .propositions import evaluate, proposition_from_json
+
     inputs = {}
     prop_text = _read_input(inputs, "prop_file", args.prop_file)
     state_text = _read_input(inputs, "state_file", args.state_file)
     prop = proposition_from_json(_load_json(prop_text))
-    state = vector_from_json(_load_json(state_text)["state"], "state")
+    state = vector_from_json(_json_object(_load_json(state_text), "state file")["state"], "state")
     return {"value": evaluate(prop, state)}, inputs, 0
 
 

@@ -16,6 +16,7 @@ from .linalg import (
     Vector,
     _complement_rows,
     _json_field,
+    _json_object,
     _matrix,
     _reduce,
     vector_from_json,
@@ -275,6 +276,6 @@ def subspace_to_json(s: Subspace) -> dict:
 
 
 def subspace_from_json(data) -> Subspace:
-    space_dim = _json_field(data, "space_dim", int)
+    space_dim = _json_field(_json_object(data, "subspace"), "space_dim", int)
     vectors = [vector_from_json(row, "basis rows") for row in data["basis"]]
     return span(vectors, space_dim)

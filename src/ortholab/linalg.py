@@ -701,6 +701,12 @@ def _json_list(data, what: str) -> list:
     return data
 
 
+def _json_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise TypeError(f"{what} must be a JSON object, not {data!r}")
+    return data
+
+
 def vector_from_json(data, what: str = "vector") -> Vector:
     return Vector(tuple(parse_scalar(e) for e in _json_list(data, what)))
 
@@ -713,5 +719,6 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(data) -> Matrix:
+    data = _json_object(data, "matrix")
     rows = [[parse_scalar(e) for e in _json_list(row, "matrix rows")] for row in data["rows"]]
     return Matrix(rows, ncols=_json_field(data, "ncols", int) if "ncols" in data else None)

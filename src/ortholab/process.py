@@ -23,6 +23,7 @@ from .linalg import (
     Rational,
     Vector,
     _json_field,
+    _json_object,
     _json_rational,
     _to_rational,
     matrix_from_json,
@@ -552,6 +553,8 @@ def _observable_to_json(obs: Observable) -> dict:
 
 
 def _observable_from_json(data) -> Observable:
+    data = _json_object(data, "observable")
+    outcomes = [_json_object(o, "outcomes") for o in data["outcomes"]]
     return Observable(
         data["name"],
         tuple(
@@ -560,7 +563,7 @@ def _observable_from_json(data) -> Observable:
                 _json_rational(o["value"], "outcome values"),
                 matrix_from_json(o["projector"]),
             )
-            for o in data["outcomes"]
+            for o in outcomes
         ),
     )
 
@@ -590,13 +593,13 @@ def stage_to_json(stage) -> dict:
 
 
 def stage_from_json(data):
-    kind = data["kind"]
+    kind = _json_object(data, "stage")["kind"]
     if kind == "prepare":
         return Prepare(vector_from_json(data["state"], "state"))
     if kind == "measure":
         return Measure(_observable_from_json(data["observable"]))
     if kind == "conditional_unitary":
-        cond = data["condition"]
+        cond = _json_object(data["condition"], "condition")
         return ConditionalUnitary(
             OutcomeIs(_json_field(cond, "stage", int), cond["outcome"]),
             matrix_from_json(data["matrix"]),

@@ -20,6 +20,7 @@ from .linalg import (
     Scalar,
     Vector,
     _json_field,
+    _json_object,
     _json_rational,
     _to_rational,
     matrix_from_json,
@@ -94,6 +95,7 @@ class Interval:
 
     @classmethod
     def from_json(cls, data) -> "Interval":
+        data = _json_object(data, "set entries")
         what = "interval endpoints"
         lo = None if data["lo"] == "-inf" else _json_rational(data["lo"], what)
         hi = None if data["hi"] == "inf" else _json_rational(data["hi"], what)
@@ -308,7 +310,7 @@ def proposition_to_json(prop: Proposition) -> dict:
 
 
 def proposition_from_json(data) -> Proposition:
-    tag = data["type"]
+    tag = _json_object(data, "proposition")["type"]
     if tag == "true":
         return TRUE
     if tag == "false":
