@@ -5,8 +5,9 @@ data).  Rationals are printed exactly, never as decimals, and a report is
 byte-for-byte reproducible from the same argv and seed.
 
 Exit codes: 0 on success (including "law holds"), 1 when a counterexample
-was found, 2 on usage, file or parse errors, on input nested too deeply and
-when stdout is closed before the report is written.
+was found, 2 on usage, file or parse errors, on input nested too deeply or
+over a size bound, when stdout is closed before the report is written and
+on an internal error, which must never pass for a counterexample.
 """
 
 from __future__ import annotations
@@ -129,24 +130,16 @@ def _cmd_demo(args) -> tuple[dict, dict, int]:
 def _cmd_lattice(args) -> tuple[dict, dict, int]:
     from .lattice import join, leq, meet, ortho, subspace_from_json, subspace_to_json
 
-    binary = args.op in ("meet", "join", "leq")
-    if binary and args.fileB is None:
-        raise ValueError(f"lattice {args.op} needs two subspace files")
-    if not binary and args.fileB is not None:
+    op = {"meet": meet, "join": join, "leq": leq, "ortho": ortho}[args.op]
+    paths = (args.fileA,) if args.fileB is None else (args.fileA, args.fileB)
+    if op is ortho and len(paths) == 2:
         raise ValueError("lattice ortho takes a single subspace file")
+    if op is not ortho and len(paths) == 1:
+        raise ValueError(f"lattice {args.op} needs two subspace files")
     inputs = {}
-    a = subspace_from_json(_load_json(_read_input(inputs, "fileA", args.fileA)))
-    if binary:
-        b = subspace_from_json(_load_json(_read_input(inputs, "fileB", args.fileB)))
-    if args.op == "meet":
-        results = {"result": subspace_to_json(meet(a, b))}
-    elif args.op == "join":
-        results = {"result": subspace_to_json(join(a, b))}
-    elif args.op == "leq":
-        results = {"leq": leq(a, b)}
-    else:
-        results = {"result": subspace_to_json(ortho(a))}
-    return results, inputs, 0
+    files = zip(("fileA", "fileB"), paths)
+    value = op(*(subspace_from_json(_load_json(_read_input(inputs, k, p))) for k, p in files))
+    return ({"leq": value} if op is leq else {"result": subspace_to_json(value)}), inputs, 0
 
 
 def _cmd_check(args) -> tuple[dict, dict, int]:
@@ -157,9 +150,12 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
         parse_statement,
         parse_statement_lines,
     )
+    from .lattice import MAX_INPUT_DIM
 
     if (args.statement is None) == (args.file is None):
         raise ValueError("check needs exactly one of a statement argument or --file")
+    if args.dim > MAX_INPUT_DIM:
+        raise ValueError(f"--dim {args.dim} is over the limit of {MAX_INPUT_DIM}")
     if args.structure == "subspace":
         structure = SubspaceLattice(args.dim)
     else:
@@ -275,6 +271,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError, TypeError) as exc:
         print(f"ortholab: error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"ortholab: error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     report = {
         "command": list(argv),

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .lattice import (
     GAUSSIAN_RATIONAL,
     Subspace,
+    _check_space_dim,
     ortho as subspace_ortho,
     random_subspace,
     subspace_to_json,
@@ -336,8 +337,7 @@ class SubspaceLattice:
     field: str = GAUSSIAN_RATIONAL
 
     def __post_init__(self):
-        if self.space_dim < 1:
-            raise ValueError("space_dim must be >= 1")
+        _check_space_dim(self.space_dim)
 
     def top(self):
         return Subspace.full(self.space_dim)
@@ -422,7 +422,9 @@ def eval_term(term: Term, assignment: dict, structure):
 # The checker.
 # ---------------------------------------------------------------------------
 
-_EXHAUSTIVE_LIMIT = 1 << 16
+# (2**u)**n assignments fit the limit exactly when u * n <= 16, which builds no big integer
+_EXHAUSTIVE_BITS = 16
+_EXHAUSTIVE_LIMIT = 1 << _EXHAUSTIVE_BITS
 
 
 @dataclass(frozen=True)
@@ -488,7 +490,7 @@ def check(stmt: IdentityStatement, structure, trials: int = 1000, seed=0) -> Che
     text = format_statement(stmt)
     if not names or (
         isinstance(structure, BooleanSetAlgebra)
-        and (1 << structure.universe_size) ** len(names) <= _EXHAUSTIVE_LIMIT
+        and structure.universe_size * len(names) <= _EXHAUSTIVE_BITS
     ):
         mode = "exhaustive"
         pools = [structure.elements() for _ in names]

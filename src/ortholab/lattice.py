@@ -43,6 +43,11 @@ __all__ = [
 GAUSSIAN_RATIONAL = "gaussian-rational"
 RATIONAL_REAL = "rational-real"
 
+# The largest dimension an input may ask for: a subspace file's space_dim and
+# `check --dim`.  A few bytes name the dimension, but the work grows with its
+# square or faster (README, "Input bounds").
+MAX_INPUT_DIM = 64
+
 
 class Subspace:
     """A subspace of a ``space_dim``-dimensional space, held in integer form.
@@ -62,6 +67,7 @@ class Subspace:
     __slots__ = ("space_dim", "rows")
 
     def __init__(self, space_dim: int, basis: Matrix):
+        _check_space_dim(space_dim)
         if basis.ncols != space_dim:
             raise ValueError(f"basis width {basis.ncols} != space_dim {space_dim}")
         self.space_dim = space_dim
@@ -77,10 +83,12 @@ class Subspace:
 
     @classmethod
     def zero(cls, space_dim: int) -> "Subspace":
+        _check_space_dim(space_dim)
         return cls._from_rows(space_dim, ())
 
     @classmethod
     def full(cls, space_dim: int) -> "Subspace":
+        _check_space_dim(space_dim)
         return cls._from_rows(
             space_dim,
             ([1 if j == 2 * i else 0 for j in range(2 * space_dim)] for i in range(space_dim)),
@@ -133,6 +141,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.space_dim}: [{rows}])"
 
 
+def _check_space_dim(space_dim: int):
+    if space_dim < 1:
+        raise ValueError("space_dim must be >= 1")
+
+
 def _same_space(s: Subspace, t: Subspace):
     if s.space_dim != t.space_dim:
         raise ValueError(f"space dimension mismatch: {s.space_dim} vs {t.space_dim}")
@@ -146,6 +159,7 @@ def _canonical(rows, space_dim: int) -> Subspace:
 
 def span(vectors, space_dim: int) -> Subspace:
     """Smallest subspace containing the given vectors; empty input spans zero."""
+    _check_space_dim(space_dim)
     vectors = tuple(vectors)
     for v in vectors:
         if v.dim != space_dim:
@@ -277,5 +291,7 @@ def subspace_to_json(s: Subspace) -> dict:
 
 def subspace_from_json(data) -> Subspace:
     space_dim = _json_field(_json_object(data, "subspace"), "space_dim", int)
+    if space_dim > MAX_INPUT_DIM:
+        raise ValueError(f"space_dim {space_dim} is over the limit of {MAX_INPUT_DIM}")
     vectors = [vector_from_json(row, "basis rows") for row in data["basis"]]
     return span(vectors, space_dim)

@@ -387,20 +387,16 @@ class Matrix:
 
     def __init__(self, rows, ncols: int | None = None):
         self._rows = tuple(tuple(_as_scalar(e) for e in row) for row in rows)
-        if self._rows:
-            widths = {len(r) for r in self._rows}
-            if len(widths) != 1:
-                raise ValueError("matrix rows must have equal length")
-            width = widths.pop()
-            if ncols is not None and ncols != width:
-                raise ValueError(f"ncols={ncols} does not match row length {width}")
-            self._ncols = width
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit ncols")
-            self._ncols = ncols
-        if self._ncols < 1:
+        width = len(self._rows[0]) if self._rows else ncols
+        if any(len(r) != width for r in self._rows):
+            raise ValueError("matrix rows must have equal length")
+        if ncols is not None and ncols != width:
+            raise ValueError(f"ncols={ncols} does not match row length {width}")
+        if width is None:
+            raise ValueError("empty matrix needs an explicit ncols")
+        if width < 1:
             raise ValueError("matrices must have positive column count")
+        self._ncols = width
         # one scale for every entry, so the matrix has one denominator
         flat, self.den = _integer_row([e for row in self._rows for e in row])
         w = 2 * self._ncols

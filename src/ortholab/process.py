@@ -88,9 +88,12 @@ class Outcome:
 class Observable:
     """A measurement given by its spectral projectors.
 
-    Projectors must be hermitian, idempotent, pairwise orthogonal and sum
-    to the identity; all four conditions are checked exactly on
-    construction, so ``run`` can trust them.
+    Projectors must be hermitian, idempotent and sum to the identity; the
+    three conditions are checked exactly on construction, so ``run`` can
+    trust them.  They imply pairwise orthogonality: for ``v = P_k v``,
+    ``|v|^2 = sum_i <v, P_i v> = |v|^2 + sum_{i != k} |P_i v|^2``, as
+    ``<v, P_i v> = |P_i v|^2`` for a hermitian idempotent, so ``P_i v = 0``
+    for every ``i != k``, that is ``P_i P_k = 0``.
     """
 
     name: str
@@ -111,13 +114,6 @@ class Observable:
             if p @ p != p:
                 raise ValueError(f"projector {out.label!r} is not idempotent")
             total = p if total is None else total + p
-        zero = Matrix.identity(dim).scale(0)
-        for i, a in enumerate(self.outcomes):
-            for b in self.outcomes[i + 1 :]:
-                if a.projector @ b.projector != zero:
-                    raise ValueError(
-                        f"projectors {a.label!r} and {b.label!r} are not orthogonal"
-                    )
         if total != Matrix.identity(dim):
             raise ValueError(f"projectors of {self.name!r} do not sum to the identity")
 
@@ -216,12 +212,16 @@ class History:
 def _validate_process(stages):
     if not stages:
         raise ValueError("a process needs at least one stage")
-    quantum = isinstance(stages[0], _QUANTUM_STAGES)
+    if not isinstance(stages[0], (Prepare, ClassicalPrepare)):
+        raise ValueError("a process must start with a preparation")
+    quantum = isinstance(stages[0], Prepare)
     for idx, st in enumerate(stages):
         if quantum and not isinstance(st, _QUANTUM_STAGES):
             raise ValueError("cannot mix classical stages into a quantum process")
         if not quantum and not isinstance(st, _CLASSICAL_STAGES):
             raise ValueError("cannot mix quantum stages into a classical process")
+        if idx and isinstance(st, (Prepare, ClassicalPrepare)):
+            raise ValueError(f"stage {idx}: preparation is only allowed first")
         if isinstance(st, ConditionalUnitary):
             cond = st.condition
             if not 0 <= cond.stage < idx:
@@ -235,12 +235,6 @@ def _validate_process(stages):
                 raise ValueError(
                     f"stage {idx} conditions on unknown outcome {cond.label!r}"
                 )
-    first = stages[0]
-    if not isinstance(first, (Prepare, ClassicalPrepare)):
-        raise ValueError("a process must start with a preparation")
-    for idx, st in enumerate(stages[1:], start=1):
-        if isinstance(st, (Prepare, ClassicalPrepare)):
-            raise ValueError(f"stage {idx}: preparation is only allowed first")
 
 
 def run(stages) -> tuple:

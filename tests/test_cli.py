@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from ortholab import cli
 from ortholab.cli import main
+from ortholab.lattice import MAX_INPUT_DIM
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +273,52 @@ class TestDeepInput:
         assert code == 2
         assert out == ""
         assert err == "ortholab: error: input nested too deeply\n"
+
+
+class TestInputBounds:
+    """Sizes that a few bytes name, and faults of ortholab's own, exit 2 with one line."""
+
+    @staticmethod
+    def _ortho(capsys, tmp_path, space_dim):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"space_dim": space_dim, "basis": []}))
+        return run_cli(capsys, "--format", "json", "lattice", "ortho", str(a))
+
+    @pytest.mark.parametrize("space_dim", [-3, 0])
+    def test_space_dim_below_one_exit_two(self, capsys, tmp_path, space_dim):
+        code, out, err = self._ortho(capsys, tmp_path, space_dim)
+        assert (code, out, err) == (2, "", "ortholab: error: space_dim must be >= 1\n")
+
+    @pytest.mark.parametrize("space_dim", [MAX_INPUT_DIM + 1, 10**18])
+    def test_space_dim_over_the_bound_exit_two(self, capsys, tmp_path, space_dim):
+        code, out, err = self._ortho(capsys, tmp_path, space_dim)
+        message = f"space_dim {space_dim} is over the limit of {MAX_INPUT_DIM}"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
+
+    @pytest.mark.parametrize("structure", ["subspace", "boolean"])
+    @pytest.mark.parametrize("dim", [MAX_INPUT_DIM + 1, 10**18])
+    def test_dim_over_the_bound_exit_two(self, capsys, structure, dim):
+        argv = ["check", "x = x", "--structure", structure, "--dim", str(dim)]
+        code, out, err = run_cli(capsys, *argv)
+        message = f"--dim {dim} is over the limit of {MAX_INPUT_DIM}"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
+
+    def test_the_bound_itself_is_accepted(self, capsys, tmp_path):
+        code, out, _ = self._ortho(capsys, tmp_path, MAX_INPUT_DIM)
+        assert code == 0 and json.loads(out)["results"]["result"]["space_dim"] == MAX_INPUT_DIM
+        code, report = run_json(
+            capsys, "check", "x = x", "--structure", "boolean", "--dim", str(MAX_INPUT_DIM)
+        )
+        assert code == 0 and report["results"]["mode"] == "random"
+
+    def test_internal_error_exit_two(self, capsys, monkeypatch):
+        def broken(args):
+            return 1 // 0
+
+        monkeypatch.setitem(cli._HANDLERS, "demo", broken)
+        code, out, err = run_cli(capsys, "demo", "spin")
+        message = "internal error: ZeroDivisionError: integer division or modulo by zero"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
 
 
 class TestDeterminism:

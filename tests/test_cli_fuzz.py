@@ -5,8 +5,10 @@ that found a counterexample, and exit 2 any usage or input error, with
 nothing on stdout and one ``ortholab: error:`` line on stderr.  The inputs
 are statements up to 4,000 characters, and subspace, proposition and state
 documents that are valid, wrongly typed, malformed, carry 6,000-digit runs
-or nest 5,000 deep.  ``--dim`` stays within 1-4 and every JSON integer
-within -2..6, since the commands allocate in proportion to a dimension.
+or nest 5,000 deep.  A dimension, ``--dim`` or a subspace's ``space_dim``,
+is 1-4 or else just past the input bound or 10**18, which must exit 2
+before any work scales with it; every other JSON integer stays within
+-2..6, since the commands allocate in proportion to a dimension.
 """
 
 import contextlib
@@ -18,8 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ortholab.cli import main
+from ortholab.lattice import MAX_INPUT_DIM
 
 DIMS = st.integers(1, 4)
+OVERSIZED = [MAX_INPUT_DIM + 1, 10**18]
 SCALARS = st.sampled_from(["0", "1", "-1/2", "2/3", "i", "1+i", "3/4-1/3i", "0.5", "1e3", ""])
 SMALL_INTS = st.integers(-2, 6)
 KEYS = st.sampled_from(
@@ -84,7 +88,8 @@ def _vectors(n):
 
 
 def subspaces(n):
-    return st.fixed_dictionaries({"space_dim": st.just(n), "basis": _vectors(n)})
+    space_dim = st.sampled_from([n, *OVERSIZED])
+    return st.fixed_dictionaries({"space_dim": space_dim, "basis": _vectors(n)})
 
 
 def states(n):
@@ -233,7 +238,7 @@ def invocations(draw, workdir):
             "--structure",
             draw(st.sampled_from(["subspace", "boolean"])),
             "--dim",
-            str(draw(DIMS)),
+            str(draw(st.sampled_from([1, 2, 3, 4, *OVERSIZED]))),
             "--trials",
             str(draw(st.integers(1, 3))),
             "--seed",

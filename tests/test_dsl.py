@@ -182,6 +182,16 @@ class TestBooleanChecks:
         assert report.mode == "random"
         assert report.holds and report.trials == 25
 
+    @pytest.mark.parametrize("universe, variables", [(4, 4), (4, 5), (1, 17), (17, 1)])
+    def test_exhaustive_exactly_up_to_the_limit(self, universe, variables):
+        # the mode is decided from universe * variables; (2**u)**n is the old test
+        names = [f"v{k}" for k in range(variables)]
+        stmt = parse_statement(" & ".join(names) + " <= v0")
+        report = check(stmt, BooleanSetAlgebra(universe), trials=3)
+        exhaustive = (2**universe) ** variables <= dsl._EXHAUSTIVE_LIMIT
+        assert report.mode == ("exhaustive" if exhaustive else "random")
+        assert report.trials == ((2**universe) ** variables if exhaustive else 3)
+
     def test_boolean_counterexample_is_concrete(self):
         report = check(parse_statement("x = y"), BooleanSetAlgebra(2))
         assert not report.holds

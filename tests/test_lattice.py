@@ -56,6 +56,18 @@ class TestConstructor:
         with pytest.raises(ValueError, match="basis width"):
             Subspace(3, Matrix([[1, 0]]))
 
+    @pytest.mark.parametrize("space_dim", [0, -1, -3])
+    def test_space_dim_below_one_rejected(self, space_dim):
+        builds = (
+            lambda n: span([], n),
+            lambda n: Subspace(n, Matrix((), ncols=1)),
+            Subspace.zero,
+            Subspace.full,
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match=r"^space_dim must be >= 1$"):
+                build(space_dim)
+
 
 class TestSpan:
     def test_scaling_invariance(self):
