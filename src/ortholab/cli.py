@@ -150,12 +150,14 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
         parse_statement,
         parse_statement_lines,
     )
-    from .lattice import MAX_INPUT_DIM
+    from .lattice import MAX_INPUT_DIM, MAX_TRIALS
 
     if (args.statement is None) == (args.file is None):
         raise ValueError("check needs exactly one of a statement argument or --file")
     if args.dim > MAX_INPUT_DIM:
         raise ValueError(f"--dim {args.dim} is over the limit of {MAX_INPUT_DIM}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials {args.trials} is over the limit of {MAX_TRIALS}")
     if args.structure == "subspace":
         structure = SubspaceLattice(args.dim)
     else:

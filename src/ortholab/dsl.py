@@ -20,6 +20,7 @@ counterexamples to distributivity; the second cannot.
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import operator
@@ -82,24 +83,25 @@ class Var(Term):
 
 @dataclass(frozen=True)
 class Top(Term):
-    pass
+    symbol = "1"  # unannotated: class attributes, not dataclass fields
 
 
 @dataclass(frozen=True)
 class Bottom(Term):
-    pass
+    symbol = "0"
 
 
 @dataclass(frozen=True)
 class Not(Term):
     child: Term
+    symbol = "!"
 
 
 @dataclass(frozen=True)
 class And(Term):
     left: Term
     right: Term
-    symbol = "&"  # unannotated: class attributes, not dataclass fields
+    symbol = "&"
     prec = 2
 
 
@@ -138,59 +140,33 @@ class IdentitySyntaxError(ValueError):
 # Lexer and parser.
 # ---------------------------------------------------------------------------
 
-_SINGLE_CHAR_TOKENS = {
-    "&": "AND",
-    "∧": "AND",  # logical and sign
-    "|": "OR",
-    "∨": "OR",  # logical or sign
-    "!": "NOT",
-    "¬": "NOT",  # negation sign
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "=": "EQ",
-    "≤": "LEQ",  # less-or-equal sign
-    "0": "BOTTOM",
-    "1": "TOP",
-}
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int  # 1-based column
+# Binary connectives by spelling; a higher ``prec`` binds tighter.
+_BINARY = {And.symbol: And, Or.symbol: Or}
+_CONSTANTS = {Top.symbol: Top, Bottom.symbol: Bottom}
+# A token's kind is its ASCII spelling, or VAR or EOF; a Unicode alias reads as ASCII.
+_SPELLINGS = {*_BINARY, *_CONSTANTS, Not.symbol, "(", ")", *(r.value for r in Relation)}
+_ALIASES = {"∧": "&", "∨": "|", "¬": "!", "≤": "<="}
+_TOKEN_RE = re.compile(rf"<=|{_VAR_RE.pattern}|\S")
+_Token = collections.namedtuple("_Token", "kind text position")  # position: 1-based column
 
 
 def _tokenize(text: str) -> list:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pos = i + 1
-        if text.startswith("<=", i):
-            tokens.append(_Token("LEQ", "<=", pos))
-            i += 2
-            continue
-        if ch in _SINGLE_CHAR_TOKENS:
-            tokens.append(_Token(_SINGLE_CHAR_TOKENS[ch], ch, pos))
-            i += 1
-            continue
-        m = _VAR_RE.match(text, i)
-        if m:
-            tokens.append(_Token("VAR", m.group(), pos))
-            i = m.end()
-            continue
-        raise IdentitySyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("EOF", "", n + 1))
+    for m in _TOKEN_RE.finditer(text):
+        spelled, pos = m.group(), m.start() + 1
+        kind = _ALIASES.get(spelled, spelled)
+        if kind not in _SPELLINGS:
+            if not _VAR_RE.match(spelled):
+                raise IdentitySyntaxError(f"unexpected character {spelled!r}", pos)
+            kind = "VAR"
+        tokens.append(_Token(kind, spelled, pos))
+    tokens.append(_Token("EOF", "", len(text) + 1))
     return tokens
 
 
-# Binary connectives by token kind; a higher ``prec`` binds tighter.
-_BINARY = {"AND": And, "OR": Or}
+def _fail(tok: _Token, expected: str):
+    found = tok.text or "end of input"
+    raise IdentitySyntaxError(f"expected {expected}, found {found!r}", tok.position)
 
 
 class _Parser:
@@ -207,23 +183,19 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise IdentitySyntaxError(f"expected {expected}, found {found!r}", tok.position)
-        return self.advance()
+            _fail(tok, expected)
+        return tok
 
     def statement(self) -> IdentityStatement:
         lhs = self.term()
-        tok = self.peek()
-        relation = {"EQ": Relation.EQUAL, "LEQ": Relation.LEQ}.get(tok.kind)
-        if relation is None:
-            found = tok.text or "end of input"
-            raise IdentitySyntaxError(f"expected '=' or '<=', found {found!r}", tok.position)
-        self.advance()
+        tok = self.advance()
+        if tok.kind not in ("=", "<="):
+            _fail(tok, "'=' or '<='")
         rhs = self.term()
         self.expect("EOF", "end of input")
-        return IdentityStatement(lhs, rhs, relation)
+        return IdentityStatement(lhs, rhs, Relation(tok.kind))
 
     def term(self, min_prec: int = 1) -> Term:
         # precedence climbing: a right operand takes only tighter connectives (left-assoc)
@@ -234,32 +206,18 @@ class _Parser:
         return node
 
     def unary(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.advance()
+        tok = self.advance()
+        if tok.kind == Not.symbol:
             return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Term:
-        tok = self.peek()
         if tok.kind == "VAR":
-            self.advance()
             return Var(tok.text)
-        if tok.kind == "TOP":
-            self.advance()
-            return Top()
-        if tok.kind == "BOTTOM":
-            self.advance()
-            return Bottom()
-        if tok.kind == "LPAREN":
-            self.advance()
-            node = self.term()
-            self.expect("RPAREN", "')'")
-            return node
-        found = tok.text or "end of input"
-        raise IdentitySyntaxError(
-            f"expected a variable, '0', '1', '!' or '(', found {found!r}", tok.position
-        )
+        if tok.kind in _CONSTANTS:
+            return _CONSTANTS[tok.kind]()
+        if tok.kind != "(":
+            _fail(tok, "a variable, '0', '1', '!' or '('")
+        node = self.term()
+        self.expect(")", "')'")
+        return node
 
 
 def parse_term(text: str) -> Term:
@@ -293,13 +251,11 @@ def parse_statement_lines(text: str) -> list:
 def _fmt(term: Term, min_prec: int) -> str:
     if isinstance(term, Var):
         return term.name
-    if isinstance(term, Top):
-        return "1"
-    if isinstance(term, Bottom):
-        return "0"
+    if isinstance(term, (Top, Bottom)):
+        return term.symbol
     if isinstance(term, Not):
-        # "!" binds tighter than every binary connective
-        return "!" + _fmt(term.child, And.prec + 1)
+        # negation binds tighter than every binary connective
+        return term.symbol + _fmt(term.child, And.prec + 1)
     if isinstance(term, (And, Or)):
         text = f"{_fmt(term.left, term.prec)} {term.symbol} {_fmt(term.right, term.prec + 1)}"
         return f"({text})" if term.prec < min_prec else text

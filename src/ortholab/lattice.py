@@ -47,6 +47,10 @@ RATIONAL_REAL = "rational-real"
 # `check --dim`.  A few bytes name the dimension, but the work grows with its
 # square or faster (README, "Input bounds").
 MAX_INPUT_DIM = 64
+# The most random assignments `check --trials` may ask for: ten times the
+# default.  One subspace trial takes from 0.06 ms at dimension 2 to 0.9 s at
+# 64, so the bound keeps a check at the smallest dimensions under a second.
+MAX_TRIALS = 10_000
 
 
 class Subspace:

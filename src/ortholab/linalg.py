@@ -186,11 +186,12 @@ def parse_scalar(text: str) -> Scalar:
     """
     if not isinstance(text, str):
         raise TypeError(f"scalars must be strings in the scalar grammar, not {text!r}")
-    s = text.strip()
-    if not s:
-        raise ScalarParseError("empty scalar text")
+    # surrounding whitespace is ignored; positions count in the text as given
+    s = text.rstrip()
     n = len(s)
-    pos = 0
+    pos = n - len(s.lstrip())
+    if pos == n:
+        raise ScalarParseError("empty scalar text")
 
     def signed_term():
         # one signed term; returns (is_imaginary, rational value)

@@ -1,11 +1,19 @@
-"""The original two-level ``dsl`` parser, kept as an oracle.
+"""The original ``dsl`` front end, kept as an oracle.
 
 ``_Parser`` is copied verbatim from ``ortholab.dsl`` as it was before the
 parser became one precedence-climbing ``term(min_prec)``: a ``term`` for
-``|`` over an ``and_term`` for ``&``.  ``tests/test_parser_oracle.py``
-checks that the current parser builds the same AST, or raises the same
-error, on every statement it generates.
+``|`` over an ``and_term`` for ``&``.  The lexer (``_SINGLE_CHAR_TOKENS``,
+``_Token`` and ``_tokenize``) is copied verbatim from before token kinds
+became their ASCII spellings and one regular expression drove the lexer:
+it names kinds ``AND``, ``LPAREN`` and so on, and walks the text one
+character at a time.  ``tests/test_parser_oracle.py`` checks that the
+current parser builds the same AST, or raises the same error, on every
+statement it generates; ``tests/test_lexer_oracle.py`` compares the two
+lexers on single characters.
 """
+
+import re
+from dataclasses import dataclass
 
 from ortholab.dsl import (
     And,
@@ -18,9 +26,60 @@ from ortholab.dsl import (
     Term,
     Top,
     Var,
-    _tokenize,
-    _Token,
 )
+
+_VAR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+
+
+_SINGLE_CHAR_TOKENS = {
+    "&": "AND",
+    "∧": "AND",  # logical and sign
+    "|": "OR",
+    "∨": "OR",  # logical or sign
+    "!": "NOT",
+    "¬": "NOT",  # negation sign
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "=": "EQ",
+    "≤": "LEQ",  # less-or-equal sign
+    "0": "BOTTOM",
+    "1": "TOP",
+}
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    position: int  # 1-based column
+
+
+def _tokenize(text: str) -> list:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        pos = i + 1
+        if text.startswith("<=", i):
+            tokens.append(_Token("LEQ", "<=", pos))
+            i += 2
+            continue
+        if ch in _SINGLE_CHAR_TOKENS:
+            tokens.append(_Token(_SINGLE_CHAR_TOKENS[ch], ch, pos))
+            i += 1
+            continue
+        m = _VAR_RE.match(text, i)
+        if m:
+            tokens.append(_Token("VAR", m.group(), pos))
+            i = m.end()
+            continue
+        raise IdentitySyntaxError(f"unexpected character {ch!r}", pos)
+    tokens.append(_Token("EOF", "", n + 1))
+    return tokens
 
 
 class _Parser:

@@ -6,7 +6,7 @@ import pytest
 
 from ortholab import cli
 from ortholab.cli import main
-from ortholab.lattice import MAX_INPUT_DIM
+from ortholab.lattice import MAX_INPUT_DIM, MAX_TRIALS
 
 
 def run_cli(capsys, *argv):
@@ -310,6 +310,20 @@ class TestInputBounds:
             capsys, "check", "x = x", "--structure", "boolean", "--dim", str(MAX_INPUT_DIM)
         )
         assert code == 0 and report["results"]["mode"] == "random"
+
+    @pytest.mark.parametrize("structure", ["subspace", "boolean"])
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**18])
+    def test_trials_over_the_bound_exit_two_before_any_work(self, capsys, structure, trials):
+        # at --dim 64 one subspace trial takes most of a second
+        argv = ["check", "x = x", "--structure", structure, "--dim", "64", "--trials", str(trials)]
+        code, out, err = run_cli(capsys, *argv)
+        message = f"--trials {trials} is over the limit of {MAX_TRIALS}"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
+
+    def test_the_trials_bound_itself_is_accepted(self, capsys):
+        argv = ["check", "x = x", "--structure", "boolean", "--dim", "20"]
+        code, report = run_json(capsys, *argv, "--trials", str(MAX_TRIALS))
+        assert code == 0 and report["results"]["trials"] == MAX_TRIALS
 
     def test_internal_error_exit_two(self, capsys, monkeypatch):
         def broken(args):

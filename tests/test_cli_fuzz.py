@@ -6,9 +6,12 @@ nothing on stdout and one ``ortholab: error:`` line on stderr.  The inputs
 are statements up to 4,000 characters, and subspace, proposition and state
 documents that are valid, wrongly typed, malformed, carry 6,000-digit runs
 or nest 5,000 deep.  A dimension, ``--dim`` or a subspace's ``space_dim``,
-is 1-4 or else just past the input bound or 10**18, which must exit 2
-before any work scales with it; every other JSON integer stays within
--2..6, since the commands allocate in proportion to a dimension.
+is 1-4 or else just past the input bound or 10**18, and so is ``--trials``
+past 3; each must exit 2 before any work scales with it.  Every other
+JSON integer stays within -2..6, since the commands allocate in
+proportion to a dimension.  Most of those inputs are errors, so a second
+fuzz draws only valid subspace, proposition and state documents, which
+must exit 0 with a JSON report.
 """
 
 import contextlib
@@ -20,11 +23,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ortholab.cli import main
-from ortholab.lattice import MAX_INPUT_DIM
+from ortholab.lattice import MAX_INPUT_DIM, MAX_TRIALS
 
 DIMS = st.integers(1, 4)
 OVERSIZED = [MAX_INPUT_DIM + 1, 10**18]
-SCALARS = st.sampled_from(["0", "1", "-1/2", "2/3", "i", "1+i", "3/4-1/3i", "0.5", "1e3", ""])
+TRIALS = st.one_of(st.integers(1, 3), st.sampled_from([MAX_TRIALS + 1, 10**18]))
+IN_GRAMMAR = ["0", "1", "-1/2", "2/3", "i", "1+i", "3/4-1/3i"]
+SCALARS = st.sampled_from([*IN_GRAMMAR, "0.5", "1e3", ""])
 SMALL_INTS = st.integers(-2, 6)
 KEYS = st.sampled_from(
     ["space_dim", "basis", "state", "type", "child", "children", "subspace", "vector",
@@ -240,7 +245,7 @@ def invocations(draw, workdir):
             "--dim",
             str(draw(st.sampled_from([1, 2, 3, 4, *OVERSIZED]))),
             "--trials",
-            str(draw(st.integers(1, 3))),
+            str(draw(TRIALS)),
             "--seed",
             str(draw(st.integers(0, 5))),
         ]
@@ -271,5 +276,81 @@ def test_every_exit_keeps_the_contract(workdir):
     @given(invocations(workdir))
     def run_one(argv):
         _assert_contract(argv, *_run(argv))
+
+    run_one()
+
+
+# -- the success paths ---------------------------------------------------------
+
+VALID_SCALARS = st.sampled_from(IN_GRAMMAR)
+REAL_SCALARS = st.sampled_from(["0", "1", "-1/2", "2/3"])
+VALID_WINDOWS = st.fixed_dictionaries(
+    {
+        "lo": st.sampled_from(["-inf", "-1/2", "0"]),
+        "hi": st.sampled_from(["1/2", "1", "inf"]),
+        "lo_closed": st.booleans(),
+        "hi_closed": st.booleans(),
+    }
+)
+
+
+def valid_subspaces(n):
+    rows = st.lists(st.lists(VALID_SCALARS, min_size=n, max_size=n), max_size=n + 1)
+    return st.fixed_dictionaries({"space_dim": st.just(n), "basis": rows})
+
+
+def valid_propositions(n):
+    vector = st.lists(VALID_SCALARS, min_size=n, max_size=n)
+    leaves = st.one_of(
+        st.sampled_from([{"type": "true"}, {"type": "false"}]),
+        st.builds(lambda s: {"type": "in_subspace", "subspace": s}, valid_subspaces(n)),
+        st.builds(lambda v: {"type": "equals", "vector": v}, vector),
+        st.builds(
+            lambda v, w: {"type": "expectation_in", "observable": _diagonal(n, v), "set": w},
+            st.lists(REAL_SCALARS, min_size=n, max_size=n),
+            st.lists(VALID_WINDOWS, max_size=2),
+        ),
+    )
+    return st.recursive(leaves, _prop_compose, max_leaves=6)
+
+
+def valid_states(n):
+    nonzero = st.lists(VALID_SCALARS, min_size=n, max_size=n).filter(lambda v: set(v) != {"0"})
+    return st.fixed_dictionaries({"state": nonzero})
+
+
+@st.composite
+def successes(draw, workdir):
+    n = draw(DIMS)
+    if draw(st.booleans()):
+        op = draw(st.sampled_from(["meet", "join", "ortho", "leq"]))
+        docs = [draw(valid_subspaces(n)) for _ in range(1 if op == "ortho" else 2)]
+        files = [_file(workdir, f"{side}.json", json.dumps(d)) for side, d in zip("ab", docs)]
+        return ["lattice", op, *files, "--format", "json"]
+    prop = _file(workdir, "prop.json", json.dumps(draw(valid_propositions(n))))
+    state = _file(workdir, "state.json", json.dumps(draw(valid_states(n))))
+    return ["props", "eval", prop, state, "--format", "json"]
+
+
+def test_valid_documents_exit_zero(workdir):
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(successes(workdir))
+    def run_one(argv):
+        code, out, err = _run(argv)
+        assert (code, err) == (0, ""), (argv, err)
+        results = json.loads(out)["results"]
+        if argv[0] == "props":
+            assert isinstance(results["value"], bool)
+        elif argv[1] == "leq":
+            assert isinstance(results["leq"], bool)
+        else:
+            with open(argv[2], encoding="utf-8") as fh:
+                assert results["result"]["space_dim"] == json.load(fh)["space_dim"]
 
     run_one()

@@ -77,6 +77,26 @@ class TestScalarParsing:
         with pytest.raises(ScalarParseError, match="2/0"):
             parse_scalar("1+2/0i")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("  1.5", "unexpected '.' at position 4 in '  1.5'"),
+            (
+                " i+1",
+                "unexpected '+' at position 3 in ' i+1': the imaginary term must come last",
+            ),
+            ("  x", "expected digits at position 3 in '  x', found 'x'"),
+            (" 1+ ", "expected digits at position 4 in ' 1+ ', found 'end of text'"),
+            ("\t1+2 ", "expected an imaginary term at position 5 in '\\t1+2 '"),
+            ("  1+i2 ", "trailing '2' at position 6 in '  1+i2 '"),
+        ],
+        ids=["unexpected", "imaginary-first", "digits", "digits-at-end", "imaginary", "trailing"],
+    )
+    def test_error_positions_count_in_the_padded_text(self, text, message):
+        with pytest.raises(ScalarParseError) as err:
+            parse_scalar(text)
+        assert str(err.value) == message
+
     @given(scalars)
     def test_print_parse_roundtrip(self, z):
         assert parse_scalar(format_scalar(z)) == z

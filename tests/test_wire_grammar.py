@@ -19,7 +19,7 @@ LIMIT = sys.get_int_max_str_digits()
     "build, message",
     [
         (lambda: Interval("0.5"), "interval endpoints: unexpected '.' at position 2 in '0.5'"),
-        (lambda: Interval(" 1e3 "), "interval endpoints: unexpected 'e' at position 2 in ' 1e3 '"),
+        (lambda: Interval(" 1e3 "), "interval endpoints: unexpected 'e' at position 3 in ' 1e3 '"),
         (lambda: Scalar("0.5"), "scalar parts: unexpected '.' at position 2 in '0.5'"),
         (
             lambda: MultiplicativeObservable(PhaseSpace(("a",)), ("0.5",)),
