@@ -8,11 +8,10 @@ space shows exactly the same non-distributivity as the complex case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import (
     Matrix,
     Rational,
+    Record,
     Vector,
     _json_object,
     _to_rational,
@@ -45,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
+class PhaseSpace(Record):
     points: tuple
 
     def __post_init__(self):
@@ -61,8 +59,7 @@ class PhaseSpace:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class ClassicalState:
+class ClassicalState(Record):
     """Square-root-of-density vector: real entries, not necessarily normalized."""
 
     space: PhaseSpace
@@ -79,8 +76,7 @@ class ClassicalState:
             raise ValueError("classical state must be nonzero")
 
 
-@dataclass(frozen=True)
-class MultiplicativeObservable:
+class MultiplicativeObservable(Record):
     """A diagonal observable: one rational value per phase-space point."""
 
     space: PhaseSpace
@@ -119,8 +115,7 @@ def classical_expectation(obs: MultiplicativeObservable, state: ClassicalState):
     return direct
 
 
-@dataclass(frozen=True)
-class TwoStateVerdict:
+class TwoStateVerdict(Record):
     """Outcome of the two-point distributivity demonstration."""
 
     field: str

@@ -25,8 +25,8 @@ import enum
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 
+from .linalg import Record
 from .lattice import (
     GAUSSIAN_RATIONAL,
     Subspace,
@@ -66,13 +66,10 @@ __all__ = [
 _VAR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
-class Term:
+class Term(Record):
     """A lattice term; its ``&`` means meet, not conjunction, so it stays its own tree."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class Var(Term):
     name: str
 
@@ -81,23 +78,19 @@ class Var(Term):
             raise ValueError(f"invalid variable name {self.name!r}")
 
 
-@dataclass(frozen=True)
 class Top(Term):
-    symbol = "1"  # unannotated: class attributes, not dataclass fields
+    symbol = "1"  # unannotated: class attributes, not fields
 
 
-@dataclass(frozen=True)
 class Bottom(Term):
     symbol = "0"
 
 
-@dataclass(frozen=True)
 class Not(Term):
     child: Term
     symbol = "!"
 
 
-@dataclass(frozen=True)
 class And(Term):
     left: Term
     right: Term
@@ -105,7 +98,6 @@ class And(Term):
     prec = 2
 
 
-@dataclass(frozen=True)
 class Or(Term):
     left: Term
     right: Term
@@ -118,8 +110,7 @@ class Relation(enum.Enum):
     LEQ = "<="
 
 
-@dataclass(frozen=True)
-class IdentityStatement:
+class IdentityStatement(Record):
     lhs: Term
     rhs: Term
     relation: Relation
@@ -285,8 +276,7 @@ def collect_variables(term: Term) -> set:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubspaceLattice:
+class SubspaceLattice(Record):
     """Closed subspaces with meet/span/orthocomplement; not distributive."""
 
     space_dim: int
@@ -314,8 +304,7 @@ class SubspaceLattice:
         return {"kind": "subspace", "space_dim": self.space_dim, "field": self.field}
 
 
-@dataclass(frozen=True)
-class BooleanSetAlgebra:
+class BooleanSetAlgebra(Record):
     """All subsets of a finite universe with the standard set operations."""
 
     universe_size: int
@@ -383,16 +372,14 @@ _EXHAUSTIVE_BITS = 16
 _EXHAUSTIVE_LIMIT = 1 << _EXHAUSTIVE_BITS
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     trial: int
     assignment: dict
     lhs: object
     rhs: object
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     statement: str
     structure: object
     mode: str  # "exhaustive" or "random"

@@ -67,6 +67,45 @@ def _to_rational(value, what="scalar parts"):
     return Rational(value)
 
 
+class Record:
+    """An immutable value whose fields are its class's own annotations, as in a frozen dataclass;
+    an annotated value is a default, and ``__init__`` ends by calling any ``__post_init__``."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__annotations__)
+        if names:  # one exec per class, where PEP 557 runs several and imports inspect and ast
+            params = ", ".join(f"{n}=_cls.{n}" if n in vars(cls) else n for n in names)
+            body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+            post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+            namespace = {"_cls": cls, "_set": object.__setattr__}
+            exec(f"def __init__(self, {params}):\n{body}{post}", namespace)
+            cls._fields, cls.__init__ = names, namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Scalar:
     """A Gaussian rational ``re + im*i``; the field all state spaces use."""
 
@@ -241,9 +280,10 @@ def parse_scalar(text: str) -> Scalar:
         )
     if s[pos] not in "+-":
         raise ScalarParseError(f"unexpected {s[pos]!r} at position {pos + 1} in {text!r}")
+    second_at = pos + 1
     second_imag, second = signed_term()
     if not second_imag:
-        raise ScalarParseError(f"expected an imaginary term at position {pos + 1} in {text!r}")
+        raise ScalarParseError(f"expected an imaginary term at position {second_at} in {text!r}")
     if pos != n:
         raise ScalarParseError(f"trailing {s[pos:]!r} at position {pos + 1} in {text!r}")
     return Scalar(first, second)

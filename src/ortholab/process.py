@@ -14,13 +14,13 @@ measurement coexist in one Boolean expression without ambiguity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from types import MappingProxyType
 
 from .linalg import (
     Matrix,
     Rational,
+    Record,
     Vector,
     _json_field,
     _json_object,
@@ -74,8 +74,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     label: str
     value: object
     projector: Matrix
@@ -84,8 +83,7 @@ class Outcome:
         object.__setattr__(self, "value", _to_rational(self.value, "outcome values"))
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(Record):
     """A measurement given by its spectral projectors.
 
     Projectors must be hermitian, idempotent and sum to the identity; the
@@ -125,8 +123,7 @@ class Observable:
         return tuple(out.label for out in self.outcomes)
 
 
-@dataclass(frozen=True)
-class Prepare:
+class Prepare(Record):
     state: Vector
 
     def __post_init__(self):
@@ -134,21 +131,18 @@ class Prepare:
             raise ValueError("cannot prepare the zero vector")
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Record):
     observable: Observable
 
 
-@dataclass(frozen=True)
-class OutcomeIs:
+class OutcomeIs(Record):
     """Branch condition: the outcome recorded at ``stage`` equals ``label``."""
 
     stage: int
     label: str
 
 
-@dataclass(frozen=True)
-class ConditionalUnitary:
+class ConditionalUnitary(Record):
     condition: OutcomeIs
     matrix: Matrix
 
@@ -157,13 +151,11 @@ class ConditionalUnitary:
             raise ValueError("conditional stage needs a unitary matrix")
 
 
-@dataclass(frozen=True)
-class ClassicalPrepare:
+class ClassicalPrepare(Record):
     point: str
 
 
-@dataclass(frozen=True)
-class ClassicalStep:
+class ClassicalStep(Record):
     """Stochastic transition: maps a sample point to weighted successors."""
 
     kernel: MappingProxyType
@@ -189,15 +181,13 @@ _QUANTUM_STAGES = (Prepare, Measure, ConditionalUnitary)
 _CLASSICAL_STAGES = (ClassicalPrepare, ClassicalStep)
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(Record):
     stage: int
     outcome: str  # "-" when the stage has no measurement outcome
     state: object  # Vector for quantum branches, sample label for classical
 
 
-@dataclass(frozen=True)
-class History:
+class History(Record):
     """One branch of a run: its exact probability and per-stage trace."""
 
     probability: object
@@ -247,39 +237,38 @@ def run(stages) -> tuple:
     _validate_process(stages)
     histories = []
     trace = []  # the entries of the branch being walked, one per stage so far
-    # each frame: (stage to run next, state, probability, entry for the stage before it, norm)
-    stack = [(0, None, Rational(1), None, None)]
+    # each frame: (stage to run next, state, probability, entry for the stage before it)
+    stack = [(0, None, Rational(1), None)]
     while stack:
-        idx, state, probability, entry, norm = stack.pop()
+        idx, state, probability, entry = stack.pop()
         if entry is not None:
             del trace[idx - 1 :]
             trace.append(entry)
         if idx == len(stages):
+            if probability is None:  # a quantum leaf, C psi = x / dx: |C psi|^2 = x.x / dx^2
+                x, dx = state.parts, state.den
+                probability = Rational(sum(map(mul, x, x)) * den2, dx * dx * norm)
             histories.append(History(probability, tuple(trace)))
             continue
         st = stages[idx]
         children = []  # the frame fields after this stage, in outcome order
         if isinstance(st, Prepare):
-            children.append((st.state, probability, "-", None))
+            # Lüders' rule in sequence: a history's probability is |C psi|^2 / |psi|^2 for the
+            # chain C of projectors and unitaries that made its leaf; it is None until the leaf
+            norm, den2 = sum(map(mul, st.state.parts, st.state.parts)), st.state.den**2
+            children.append((st.state, None, "-"))
         elif isinstance(st, Measure):
-            # psi = x / dx and P psi = y / dy, so <psi, P psi> = x.y / (dx dy) and
-            # <psi, psi> = x.x / dx^2; norm is x.x, carried from the measurement before
-            x, dx = state.parts, state.den
-            norm = sum(map(mul, x, x)) if norm is None else norm
             for out in st.observable.outcomes:
                 post = out.projector @ state
-                xy, dy = sum(map(mul, x, post.parts)), post.den
-                if not xy:
-                    continue
-                # P is a hermitian projector, so |P psi|^2 = <psi, P psi>: y.y = xy dy / dx
-                weight = Rational(xy * dx, dy * norm)
-                children.append((post, probability * weight, out.label, xy * dy // dx))
+                # P is a hermitian projector, so <psi, P psi> = |P psi|^2: zero iff P psi is
+                if not post.is_zero():
+                    children.append((post, probability, out.label))
         elif isinstance(st, ConditionalUnitary):
             cond = st.condition
             applies = trace[cond.stage].outcome == cond.label
-            children.append((st.matrix @ state if applies else state, probability, "-", None))
+            children.append((st.matrix @ state if applies else state, probability, "-"))
         elif isinstance(st, ClassicalPrepare):
-            children.append((st.point, probability, "-", None))
+            children.append((st.point, probability, "-"))
         elif isinstance(st, ClassicalStep):
             row = st.kernel.get(state)
             if row is None:
@@ -287,12 +276,12 @@ def run(stages) -> tuple:
             for target, p in row:
                 if p == 0:
                     continue
-                children.append((target, probability * p, target, None))
+                children.append((target, probability * p, target))
         else:  # pragma: no cover
             raise TypeError(f"unknown stage {st!r}")
         # pushed last-first, so the first outcome is walked first
-        for after, p, outcome, n in reversed(children):
-            stack.append((idx + 1, after, p, TraceEntry(idx, outcome, after), n))
+        for after, p, outcome in reversed(children):
+            stack.append((idx + 1, after, p, TraceEntry(idx, outcome, after)))
     return tuple(histories)
 
 
@@ -301,14 +290,12 @@ def run(stages) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointIs:
+class PointIs(Record):
     """Classical test: the branch sits at this sample point."""
 
     point: str
 
 
-@dataclass(frozen=True)
 class Atom(Proposition):
     """A predicate evaluated on the state after ``stage`` in each history."""
 
@@ -400,8 +387,7 @@ def formula_stages(formula: Proposition) -> frozenset:
     return frozenset(stages)
 
 
-@dataclass(frozen=True)
-class DistributivityVerdict:
+class DistributivityVerdict(Record):
     """Side-by-side comparison of two formulas over one set of histories.
 
     ``stage_mismatch`` flags comparisons whose two sides do not even refer

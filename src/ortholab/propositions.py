@@ -11,12 +11,12 @@ on given states.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import mul
 
 from .linalg import (
     Matrix,
     Rational,
+    Record,
     Scalar,
     Vector,
     _json_field,
@@ -57,8 +57,7 @@ def _endpoint(value):
     return None if value is None else _to_rational(value, "interval endpoints")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Rational interval, possibly unbounded; None endpoints mean +-infinity."""
 
     lo: object = None
@@ -102,10 +101,8 @@ class Interval:
         return cls(lo, hi, *(_json_field(data, k, bool) for k in ("lo_closed", "hi_closed")))
 
 
-class Proposition:
+class Proposition(Record):
     """Base class; combine with ``&``, ``|`` and ``~``."""
-
-    __slots__ = ()
 
     def __and__(self, other):
         return And((self, other))
@@ -117,12 +114,10 @@ class Proposition:
         return Not(self)
 
 
-@dataclass(frozen=True)
 class InSubspace(Proposition):
     subspace: Subspace
 
 
-@dataclass(frozen=True)
 class ExpectationIn(Proposition):
     """The expectation value of ``observable`` lies in the union of ``windows``."""
 
@@ -135,12 +130,10 @@ class ExpectationIn(Proposition):
             raise ValueError("expectation predicates need a hermitian observable")
 
 
-@dataclass(frozen=True)
 class EqualsVector(Proposition):
     vector: Vector
 
 
-@dataclass(frozen=True)
 class And(Proposition):
     children: tuple
 
@@ -148,7 +141,6 @@ class And(Proposition):
         object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True)
 class Or(Proposition):
     children: tuple
 
@@ -156,12 +148,10 @@ class Or(Proposition):
         object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True)
 class Not(Proposition):
     child: Proposition
 
 
-@dataclass(frozen=True)
 class Constant(Proposition):
     value: bool
 

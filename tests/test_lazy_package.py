@@ -97,7 +97,8 @@ import contextlib, io, json, sys
 from ortholab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-names = [m for m in sys.modules if m.startswith("ortholab.") or m == "dataclasses"]
+watched = ("dataclasses", "inspect")
+names = [m for m in sys.modules if m.startswith("ortholab.") or m in watched]
 print(json.dumps([code, sorted(names)]))
 """
     return fresh(script, tmp_path)
@@ -133,6 +134,30 @@ def test_demo_spin_loads_no_dsl(tmp_path):
     assert code == 0
     assert "ortholab.process" in loaded
     assert "ortholab.dsl" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["demo", "spin"], 0),
+        (["demo", "hatch"], 0),
+        (["demo", "two-state"], 0),
+        (["check", "x & (y | z) = (x & y) | (x & z)", "--structure", "subspace"], 1),
+        (["props", "eval", "prop.json", "state.json"], 0),
+        (["lattice", "meet", "a.json", "a.json"], 0),
+    ],
+    ids=["demo-spin", "demo-hatch", "demo-two-state", "check", "props", "lattice"],
+)
+def test_no_command_loads_dataclasses_or_inspect(argv, exit_code, tmp_path):
+    # the records derive from linalg.Record; dataclasses would load inspect, ast and dis
+    (tmp_path / "a.json").write_text(json.dumps({"space_dim": 2, "basis": [["1", "1"]]}))
+    negation = {"type": "not", "child": {"type": "false"}}
+    prop = {"type": "or", "children": [{"type": "true"}, negation]}
+    (tmp_path / "prop.json").write_text(json.dumps(prop))
+    (tmp_path / "state.json").write_text(json.dumps({"state": ["1", "i"]}))
+    code, loaded = loaded_after(argv, tmp_path)
+    assert code == exit_code
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_deep_input_on_a_cold_interpreter(tmp_path):

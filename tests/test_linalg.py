@@ -87,10 +87,14 @@ class TestScalarParsing:
             ),
             ("  x", "expected digits at position 3 in '  x', found 'x'"),
             (" 1+ ", "expected digits at position 4 in ' 1+ ', found 'end of text'"),
-            ("\t1+2 ", "expected an imaginary term at position 5 in '\\t1+2 '"),
+            ("\t1+2 ", "expected an imaginary term at position 3 in '\\t1+2 '"),
+            ("1-2/3", "expected an imaginary term at position 2 in '1-2/3'"),
             ("  1+i2 ", "trailing '2' at position 6 in '  1+i2 '"),
         ],
-        ids=["unexpected", "imaginary-first", "digits", "digits-at-end", "imaginary", "trailing"],
+        ids=[
+            "unexpected", "imaginary-first", "digits", "digits-at-end", "imaginary",
+            "imaginary-unpadded", "trailing",
+        ],
     )
     def test_error_positions_count_in_the_padded_text(self, text, message):
         with pytest.raises(ScalarParseError) as err:
