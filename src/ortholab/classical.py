@@ -13,7 +13,7 @@ from .linalg import (
     Rational,
     Record,
     Vector,
-    _json_object,
+    _JsonAt,
     _to_rational,
     inner,
     vec,
@@ -180,8 +180,6 @@ def classical_state_to_json(state: ClassicalState) -> dict:
 
 
 def classical_state_from_json(data) -> ClassicalState:
-    data = _json_object(data, "classical state")
-    return ClassicalState(
-        PhaseSpace(tuple(data["points"])),
-        vector_from_json(data["amplitude"], "amplitude"),
-    )
+    data = _JsonAt.of(data, "classical state")
+    points = PhaseSpace(tuple(p.expect(str) for p in data["points"]))
+    return ClassicalState(points, vector_from_json(data["amplitude"]))

@@ -35,11 +35,12 @@ def _read_input(inputs: dict, key: str, path: str) -> str:
     return blob.decode("utf-8")
 
 
-def _load_json(text: str):
-    """Parse a JSON input; an over-long integer is reported in the scalar grammar's words."""
-    from .linalg import _digit_run
+def _read_json(inputs: dict, key: str, path: str):
+    """Read a JSON input as a reader whose paths start at ``key``, its ``inputs`` key; an
+    over-long integer is reported in the scalar grammar's words."""
+    from .linalg import _digit_run, _JsonAt
 
-    return json.loads(text, parse_int=_digit_run)
+    return _JsonAt(json.loads(_read_input(inputs, key, path), parse_int=_digit_run), key)
 
 
 # The (left, connective, right) combinations of a process demo's named atoms
@@ -138,7 +139,7 @@ def _cmd_lattice(args) -> tuple[dict, dict, int]:
         raise ValueError(f"lattice {args.op} needs two subspace files")
     inputs = {}
     files = zip(("fileA", "fileB"), paths)
-    value = op(*(subspace_from_json(_load_json(_read_input(inputs, k, p))) for k, p in files))
+    value = op(*(subspace_from_json(_read_json(inputs, k, p)) for k, p in files))
     return ({"leq": value} if op is leq else {"result": subspace_to_json(value)}), inputs, 0
 
 
@@ -176,14 +177,12 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_props(args) -> tuple[dict, dict, int]:
-    from .linalg import _json_object, vector_from_json
+    from .linalg import vector_from_json
     from .propositions import evaluate, proposition_from_json
 
     inputs = {}
-    prop_text = _read_input(inputs, "prop_file", args.prop_file)
-    state_text = _read_input(inputs, "state_file", args.state_file)
-    prop = proposition_from_json(_load_json(prop_text))
-    state = vector_from_json(_json_object(_load_json(state_text), "state file")["state"], "state")
+    prop = proposition_from_json(_read_json(inputs, "prop_file", args.prop_file))
+    state = vector_from_json(_read_json(inputs, "state_file", args.state_file)["state"])
     return {"value": evaluate(prop, state)}, inputs, 0
 
 
@@ -265,9 +264,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         results, inputs, code = _HANDLERS[args.command](args)
-    except KeyError as exc:
-        print(f"ortholab: error: missing key {exc}", file=sys.stderr)
-        return 2
     except RecursionError:
         print("ortholab: error: input nested too deeply", file=sys.stderr)
         return 2

@@ -346,10 +346,9 @@ class UnboundVariableError(KeyError):
 def eval_term(term: Term, assignment: dict, structure):
     """Value of a term under an assignment; the elements supply meet, join and order."""
     if isinstance(term, Var):
-        try:
-            return assignment[term.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {term.name!r}") from None
+        if term.name not in assignment:
+            raise UnboundVariableError(f"unbound variable {term.name!r}")
+        return assignment[term.name]
     if isinstance(term, Top):
         return structure.top()
     if isinstance(term, Bottom):

@@ -14,9 +14,8 @@ from math import lcm
 from .linalg import (
     Matrix,
     Vector,
+    _JsonAt,
     _complement_rows,
-    _json_field,
-    _json_object,
     _matrix,
     _reduce,
     vector_from_json,
@@ -294,8 +293,8 @@ def subspace_to_json(s: Subspace) -> dict:
 
 
 def subspace_from_json(data) -> Subspace:
-    space_dim = _json_field(_json_object(data, "subspace"), "space_dim", int)
+    data = _JsonAt.of(data, "subspace")
+    space_dim = data["space_dim"].expect(int)
     if space_dim > MAX_INPUT_DIM:
         raise ValueError(f"space_dim {space_dim} is over the limit of {MAX_INPUT_DIM}")
-    vectors = [vector_from_json(row, "basis rows") for row in data["basis"]]
-    return span(vectors, space_dim)
+    return span([vector_from_json(row) for row in data["basis"]], space_dim)

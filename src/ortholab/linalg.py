@@ -55,10 +55,7 @@ class ScalarParseError(ValueError):
 def _to_rational(value, what="scalar parts"):
     """``value`` as a Rational: a string must be real in the scalar grammar; floats are refused."""
     if isinstance(value, str):
-        try:
-            z = parse_scalar(value)
-        except ScalarParseError as exc:
-            raise ScalarParseError(f"{what}: {exc}") from None
+        z = _JsonAt(value, what).scalar()
         if z.im:
             raise ValueError(f"{what} must be real, not {value!r}")
         return z.re
@@ -712,40 +709,58 @@ def nullspace(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _json_rational(text, what: str) -> Rational:
-    """A real rational wire field: a string in the scalar grammar."""
-    if not isinstance(text, str):
-        raise TypeError(f"{what} must be strings in the scalar grammar, not {text!r}")
-    return _to_rational(text, what)
+class _JsonAt:
+    """A decoded JSON value and its path, which errors name: a root name, then each key or
+    index, escaped as in an RFC 6901 JSON Pointer (``~`` as ``~0``, ``/`` as ``~1``).  A member
+    ``node[key]``, a list's entries (iteration) and an object's ``items()`` are readers too."""
 
+    __slots__ = ("value", "path")
+    _TYPES = {dict: "object", list: "list", str: "string", int: "integer", bool: "boolean"}
 
-def _json_field(data, key: str, kind: type):
-    """``data[key]``, which must be a JSON boolean (``kind`` bool) or integer (int)."""
-    value = data[key]
-    if type(value) is not kind:
-        name = "boolean" if kind is bool else "integer"
-        raise TypeError(f"{key!r} must be a JSON {name}, not {value!r}")
-    return value
+    def __init__(self, value, path: str):
+        self.value, self.path = value, path
+
+    @staticmethod
+    def of(data, root: str) -> "_JsonAt":
+        """``data`` if it is a reader already, else raw JSON read from a root named ``root``."""
+        return data if isinstance(data, _JsonAt) else _JsonAt(data, root)
+
+    def expect(self, kind: type):
+        """The value, which must be a JSON ``kind``: dict, list, str, int (not bool) or bool."""
+        if type(self.value) is not kind:
+            raise TypeError(f"{self.path} must be a JSON {self._TYPES[kind]}, not {self.value!r}")
+        return self.value
+
+    def _at(self, key, value) -> "_JsonAt":
+        return _JsonAt(value, f"{self.path}/{str(key).replace('~', '~0').replace('/', '~1')}")
+
+    def __getitem__(self, key: str) -> "_JsonAt":
+        if key not in self.expect(dict):
+            raise ValueError(f"{self.path} has no field {key!r}")
+        return self._at(key, self.value[key])
+
+    def __iter__(self):
+        return (self._at(i, v) for i, v in enumerate(self.expect(list)))
+
+    def items(self) -> list:
+        return [(k, self._at(k, v)) for k, v in self.expect(dict).items()]
+
+    def scalar(self) -> Scalar:
+        try:
+            return parse_scalar(self.expect(str))
+        except ScalarParseError as exc:
+            raise ScalarParseError(f"{self.path}: {exc}") from None
+
+    def rational(self) -> Rational:
+        return _to_rational(self.expect(str), self.path)
 
 
 def vector_to_json(v: Vector) -> list:
     return [str(e) for e in v.entries]
 
 
-def _json_list(data, what: str) -> list:
-    if not isinstance(data, list):
-        raise TypeError(f"{what} must be a JSON list of scalars, not {data!r}")
-    return data
-
-
-def _json_object(data, what: str) -> dict:
-    if not isinstance(data, dict):
-        raise TypeError(f"{what} must be a JSON object, not {data!r}")
-    return data
-
-
-def vector_from_json(data, what: str = "vector") -> Vector:
-    return Vector(tuple(parse_scalar(e) for e in _json_list(data, what)))
+def vector_from_json(data) -> Vector:
+    return Vector(tuple(e.scalar() for e in _JsonAt.of(data, "vector")))
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -756,6 +771,6 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(data) -> Matrix:
-    data = _json_object(data, "matrix")
-    rows = [[parse_scalar(e) for e in _json_list(row, "matrix rows")] for row in data["rows"]]
-    return Matrix(rows, ncols=_json_field(data, "ncols", int) if "ncols" in data else None)
+    data = _JsonAt.of(data, "matrix")
+    rows = [[e.scalar() for e in row] for row in data["rows"]]
+    return Matrix(rows, ncols=data["ncols"].expect(int) if "ncols" in data.expect(dict) else None)

@@ -22,9 +22,7 @@ from .linalg import (
     Rational,
     Record,
     Vector,
-    _json_field,
-    _json_object,
-    _json_rational,
+    _JsonAt,
     _to_rational,
     matrix_from_json,
     matrix_to_json,
@@ -532,20 +530,12 @@ def _observable_to_json(obs: Observable) -> dict:
     return {"name": obs.name, "outcomes": [_outcome_to_json(o) for o in obs.outcomes]}
 
 
-def _observable_from_json(data) -> Observable:
-    data = _json_object(data, "observable")
-    outcomes = [_json_object(o, "outcomes") for o in data["outcomes"]]
-    return Observable(
-        data["name"],
-        tuple(
-            Outcome(
-                o["label"],
-                _json_rational(o["value"], "outcome values"),
-                matrix_from_json(o["projector"]),
-            )
-            for o in outcomes
-        ),
-    )
+def _transition(pair) -> tuple:
+    # one [point, probability] entry of a classical kernel row
+    if len(pair.expect(list)) != 2:
+        raise TypeError(f"{pair.path} must be a JSON pair [point, probability], not {pair.value!r}")
+    point, p = pair
+    return point.expect(str), p.rational()
 
 
 def stage_to_json(stage) -> dict:
@@ -573,24 +563,27 @@ def stage_to_json(stage) -> dict:
 
 
 def stage_from_json(data):
-    kind = _json_object(data, "stage")["kind"]
+    data = _JsonAt.of(data, "stage")
+    kind = data["kind"].expect(str)
     if kind == "prepare":
-        return Prepare(vector_from_json(data["state"], "state"))
+        return Prepare(vector_from_json(data["state"]))
     if kind == "measure":
-        return Measure(_observable_from_json(data["observable"]))
+        obs = data["observable"]
+        outcomes = tuple(
+            Outcome(o["label"].expect(str), o["value"].rational(), matrix_from_json(o["projector"]))
+            for o in obs["outcomes"]
+        )
+        return Measure(Observable(obs["name"].expect(str), outcomes))
     if kind == "conditional_unitary":
-        cond = _json_object(data["condition"], "condition")
+        cond = data["condition"]
         return ConditionalUnitary(
-            OutcomeIs(_json_field(cond, "stage", int), cond["outcome"]),
+            OutcomeIs(cond["stage"].expect(int), cond["outcome"].expect(str)),
             matrix_from_json(data["matrix"]),
         )
     if kind == "classical_prepare":
-        return ClassicalPrepare(data["point"])
+        return ClassicalPrepare(data["point"].expect(str))
     if kind == "classical_step":
-        kernel = {
-            src: tuple((target, _json_rational(p, "probabilities")) for target, p in row)
-            for src, row in data["kernel"].items()
-        }
+        kernel = {src: tuple(_transition(t) for t in row) for src, row in data["kernel"].items()}
         return ClassicalStep(kernel)
     raise ValueError(f"unknown stage kind {kind!r}")
 
@@ -600,7 +593,7 @@ def process_to_json(stages) -> list:
 
 
 def process_from_json(data) -> tuple:
-    return tuple(stage_from_json(s) for s in data)
+    return tuple(stage_from_json(s) for s in _JsonAt.of(data, "process"))
 
 
 def _state_to_json(state):

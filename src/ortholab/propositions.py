@@ -19,9 +19,7 @@ from .linalg import (
     Record,
     Scalar,
     Vector,
-    _json_field,
-    _json_object,
-    _json_rational,
+    _JsonAt,
     _to_rational,
     matrix_from_json,
     matrix_to_json,
@@ -94,11 +92,11 @@ class Interval(Record):
 
     @classmethod
     def from_json(cls, data) -> "Interval":
-        data = _json_object(data, "set entries")
-        what = "interval endpoints"
-        lo = None if data["lo"] == "-inf" else _json_rational(data["lo"], what)
-        hi = None if data["hi"] == "inf" else _json_rational(data["hi"], what)
-        return cls(lo, hi, *(_json_field(data, k, bool) for k in ("lo_closed", "hi_closed")))
+        data = _JsonAt.of(data, "interval")
+        lo, hi = data["lo"], data["hi"]
+        lo = None if lo.value == "-inf" else lo.rational()
+        hi = None if hi.value == "inf" else hi.rational()
+        return cls(lo, hi, *(data[k].expect(bool) for k in ("lo_closed", "hi_closed")))
 
 
 class Proposition(Record):
@@ -300,7 +298,8 @@ def proposition_to_json(prop: Proposition) -> dict:
 
 
 def proposition_from_json(data) -> Proposition:
-    tag = _json_object(data, "proposition")["type"]
+    data = _JsonAt.of(data, "proposition")
+    tag = data["type"].expect(str)
     if tag == "true":
         return TRUE
     if tag == "false":

@@ -405,7 +405,8 @@ class TestWireFields:
         code, out, err = run_cli(capsys, "props", "eval", *_window_prop(tmp_path, window))
         assert code == 2
         assert out == ""
-        assert err == f"ortholab: error: 'lo_closed' must be a JSON boolean, not {flag!r}\n"
+        message = f"prop_file/set/0/lo_closed must be a JSON boolean, not {flag!r}"
+        assert err == f"ortholab: error: {message}\n"
 
     @pytest.mark.parametrize("space_dim", [2.9, 2.0, "2", True])
     def test_space_dim_must_be_a_json_integer(self, capsys, tmp_path, space_dim):
@@ -414,7 +415,8 @@ class TestWireFields:
         code, out, err = run_cli(capsys, "lattice", "ortho", str(a))
         assert code == 2
         assert out == ""
-        assert "'space_dim' must be a JSON integer" in err
+        message = f"fileA/space_dim must be a JSON integer, not {space_dim!r}"
+        assert err == f"ortholab: error: {message}\n"
 
     def test_overlong_state_entry_is_reported_in_our_words(self, capsys, tmp_path):
         window = {"lo": "0", "hi": "inf", "lo_closed": True, "hi_closed": True}
@@ -422,7 +424,8 @@ class TestWireFields:
         code, out, err = run_cli(capsys, "props", "eval", *files)
         assert code == 2
         limit = sys.get_int_max_str_digits()
-        assert err == f"ortholab: error: number too long: 5001 digits, limit {limit}\n"
+        message = f"state_file/state/0: number too long: 5001 digits, limit {limit}"
+        assert err == f"ortholab: error: {message}\n"
 
 
 class TestInputFiles:
@@ -470,12 +473,12 @@ class TestVectorsAreJsonLists:
     def test_state_string_is_rejected(self, capsys, tmp_path):
         prop = self._write(tmp_path, "p.json", {"type": "equals", "vector": ["1", "0"]})
         state = self._write(tmp_path, "s.json", {"state": "10"})
-        message = "state must be a JSON list of scalars, not '10'"
+        message = "state_file/state must be a JSON list, not '10'"
         self._assert_rejected(capsys, ("props", "eval", prop, state), message)
 
     def test_basis_row_string_is_rejected(self, capsys, tmp_path):
         a = self._write(tmp_path, "a.json", {"space_dim": 2, "basis": ["10"]})
-        message = "basis rows must be a JSON list of scalars, not '10'"
+        message = "fileA/basis/0 must be a JSON list, not '10'"
         self._assert_rejected(capsys, ("lattice", "ortho", a), message)
 
     def test_matrix_row_string_is_rejected(self, capsys, tmp_path):
@@ -484,11 +487,11 @@ class TestVectorsAreJsonLists:
         prop = {"type": "expectation_in", "observable": observable, "set": [window]}
         prop = self._write(tmp_path, "p.json", prop)
         state = self._write(tmp_path, "s.json", {"state": ["1", "0"]})
-        message = "matrix rows must be a JSON list of scalars, not '10'"
+        message = "prop_file/observable/rows/0 must be a JSON list, not '10'"
         self._assert_rejected(capsys, ("props", "eval", prop, state), message)
 
     def test_equals_vector_string_is_rejected(self, capsys, tmp_path):
         prop = self._write(tmp_path, "p.json", {"type": "equals", "vector": "10"})
         state = self._write(tmp_path, "s.json", {"state": ["1", "0"]})
-        message = "vector must be a JSON list of scalars, not '10'"
+        message = "prop_file/vector must be a JSON list, not '10'"
         self._assert_rejected(capsys, ("props", "eval", prop, state), message)

@@ -11,12 +11,17 @@ past 3; each must exit 2 before any work scales with it.  Every other
 JSON integer stays within -2..6, since the commands allocate in
 proportion to a dimension.  Most of those inputs are errors, so a second
 fuzz draws only valid subspace, proposition and state documents, which
-must exit 0 with a JSON report.
+must exit 0 with a JSON report.  A type or missing-field error names the
+path of the value it rejects, as an RFC 6901 JSON Pointer under the file's
+``inputs`` key, and that path must resolve in the file's document; a third
+fuzz swaps one part of a valid document for any JSON value, so that the
+readers reach list entries and nested fields before they reject it.
 """
 
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -216,12 +221,38 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# the root of an error's path is the input file's key in the report's ``inputs``
+ROOTS = {"lattice": ("fileA", "fileB"), "props": ("prop_file", "state_file")}
+PATH_NAMED = re.compile(r"ortholab: error: (\S+) (?:must be a JSON|has no field '(\w+)'\n)")
+
+
+def _assert_path_resolves(argv, err):
+    if "must be a JSON" not in err and "has no field" not in err:
+        return
+    match = PATH_NAMED.match(err)
+    assert match, err
+    root, *steps = match[1].split("/")
+    files = dict(zip(ROOTS.get(argv[0], ()), argv[2:]))
+    assert root in files, (argv, err)
+    with open(files[root], encoding="utf-8") as fh:
+        value = json.load(fh)
+    for step in steps:
+        step = step.replace("~1", "/").replace("~0", "~")
+        assert isinstance(value, (dict, list)), (argv, err)
+        value = value[int(step)] if isinstance(value, list) else value[step]
+    if match[2] is None:
+        assert err.endswith(f", not {value!r}\n"), (argv, err)
+    else:
+        assert isinstance(value, dict) and match[2] not in value, (argv, err)
+
+
 def _assert_contract(argv, code, out, err):
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert out == ""
         assert err.startswith("ortholab: error: ") and err.count("\n") == 1, err
         assert err.endswith("\n")
+        _assert_path_resolves(argv, err)
         return
     assert err == "" and out
     if code == 1:
@@ -352,5 +383,27 @@ def test_valid_documents_exit_zero(workdir):
         else:
             with open(argv[2], encoding="utf-8") as fh:
                 assert results["result"]["space_dim"] == json.load(fh)["space_dim"]
+
+    run_one()
+
+
+def test_retyped_documents_name_the_path_they_reject(workdir):
+    # one part of one valid file swapped for any JSON value; the valid rest lets the
+    # readers reach it, so list entries and nested fields get rejected too
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(successes(workdir), st.data())
+    def run_one(argv, data):
+        path = data.draw(st.sampled_from([a for a in argv if a.endswith(".json")]))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data.draw(_retyped(doc)), fh)
+        _assert_contract(argv, *_run(argv))
 
     run_one()

@@ -262,8 +262,9 @@ class TestMatrixOps:
 
     @pytest.mark.parametrize("ncols", [3.0, "3", True])
     def test_json_ncols_must_be_an_integer(self, ncols):
-        with pytest.raises(TypeError, match="'ncols' must be a JSON integer"):
+        with pytest.raises(TypeError) as info:
             matrix_from_json({"rows": [], "ncols": ncols})
+        assert str(info.value) == f"matrix/ncols must be a JSON integer, not {ncols!r}"
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -421,33 +421,36 @@ class TestJson:
         assert data[0]["trace"][1]["state"] == "q"
 
     @pytest.mark.parametrize(
-        "value, error, match",
+        "value, error, message",
         [
-            ("0.5", ValueError, "unexpected '.'"),
-            ("1e2", ValueError, "unexpected 'e'"),
-            ("1_0", ValueError, "unexpected '_'"),
-            ("1+i", ValueError, "must be real"),
-            (1, TypeError, "must be strings in the scalar grammar"),
-            (0.5, TypeError, "must be strings in the scalar grammar"),
+            ("0.5", ValueError, "{}: unexpected '.' at position 2 in '0.5'"),
+            ("1e2", ValueError, "{}: unexpected 'e' at position 2 in '1e2'"),
+            ("1_0", ValueError, "{}: unexpected '_' at position 2 in '1_0'"),
+            ("1+i", ValueError, "{} must be real, not '1+i'"),
+            (1, TypeError, "{} must be a JSON string, not 1"),
+            (0.5, TypeError, "{} must be a JSON string, not 0.5"),
         ],
     )
     def test_outcome_values_and_probabilities_use_the_scalar_grammar(
-        self, spin, hatch, value, error, match
+        self, spin, hatch, value, error, message
     ):
         quantum = process_to_json(spin[0])
         quantum[1]["observable"]["outcomes"][0]["value"] = value
         classical = process_to_json(hatch[0])
         classical[1]["kernel"]["p"][0][1] = value
-        for data in (quantum, classical):
-            with pytest.raises(error, match=match):
+        paths = ("process/1/observable/outcomes/0/value", "process/1/kernel/p/0/1")
+        for data, path in zip((quantum, classical), paths):
+            with pytest.raises(error) as info:
                 process_from_json(data)
+            assert str(info.value) == message.format(path)
 
     @pytest.mark.parametrize("stage", [1.0, 1.9, "1", True])
     def test_condition_stage_must_be_an_integer(self, spin, stage):
         data = process_to_json(spin[0])
         data[2]["condition"]["stage"] = stage
-        with pytest.raises(TypeError, match="'stage' must be a JSON integer"):
+        with pytest.raises(TypeError) as info:
             process_from_json(data)
+        assert str(info.value) == f"process/2/condition/stage must be a JSON integer, not {stage!r}"
 
 
 # ---------------------------------------------------------------------------

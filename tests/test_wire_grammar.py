@@ -77,7 +77,7 @@ def test_non_string_scalar_in_a_file_exit_two(capsys, tmp_path):
     a.write_text(json.dumps({"space_dim": 2, "basis": [[1, 0]]}))
     code, out, err = _run(capsys, ["lattice", "ortho", str(a)])
     assert (code, out) == (2, "")
-    assert err == "ortholab: error: scalars must be strings in the scalar grammar, not 1\n"
+    assert err == "ortholab: error: fileA/basis/0/0 must be a JSON string, not 1\n"
 
 
 def test_wire_rational_error_names_its_field(capsys, tmp_path):
@@ -91,4 +91,4 @@ def test_wire_rational_error_names_its_field(capsys, tmp_path):
     state.write_text(json.dumps({"state": ["1", "0"]}))
     code, out, err = _run(capsys, ["props", "eval", str(prop), str(state)])
     assert (code, out) == (2, "")
-    assert err == "ortholab: error: interval endpoints: unexpected 'e' at position 2 in '1e5000'\n"
+    assert err == "ortholab: error: prop_file/set/0/lo: unexpected 'e' at position 2 in '1e5000'\n"
