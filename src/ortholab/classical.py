@@ -181,5 +181,5 @@ def classical_state_to_json(state: ClassicalState) -> dict:
 
 def classical_state_from_json(data) -> ClassicalState:
     data = _JsonAt.of(data, "classical state")
-    points = PhaseSpace(tuple(p.expect(str) for p in data["points"]))
-    return ClassicalState(points, vector_from_json(data["amplitude"]))
+    points = data["points"].build(PhaseSpace, tuple(p.expect(str) for p in data["points"]))
+    return data.build(ClassicalState, points, vector_from_json(data["amplitude"]))

@@ -17,6 +17,7 @@ to share between concurrent tasks.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -50,6 +51,21 @@ _RATIONAL_TYPES = (int, Fraction)
 
 class ScalarParseError(ValueError):
     """A scalar literal does not match the wire grammar."""
+
+
+# a str's repr: single-quoted with \' and \\ escaped, or double-quoted when it holds ' but no ";
+# compiled on the first error, not at import, which every command pays for
+_STR_REPR = r"'(?:[^'\\]|\\.)*'|\"[^\"]*\""
+
+
+def _cut(text: str, limit: int) -> str:
+    return text if len(text) <= limit else f"{text[:limit]}…"
+
+
+def _quote(value) -> str:
+    """``repr(value)`` for an error message, bounded: each string in it past 80 characters,
+    and the whole past 1,000, is cut there and marked ``…``."""
+    return _cut(re.sub(_STR_REPR, lambda m: _cut(m[0], 80), repr(value)), 1000)
 
 
 def _to_rational(value, what="scalar parts"):
@@ -221,7 +237,7 @@ def parse_scalar(text: str) -> Scalar:
     ``3/4-1/3i``.  A real part, when present, precedes the imaginary part.
     """
     if not isinstance(text, str):
-        raise TypeError(f"scalars must be strings in the scalar grammar, not {text!r}")
+        raise TypeError(f"scalars must be strings in the scalar grammar, not {_quote(text)}")
     # surrounding whitespace is ignored; positions count in the text as given
     s = text.rstrip()
     n = len(s)
@@ -247,7 +263,7 @@ def parse_scalar(text: str) -> Scalar:
         if pos == digits_start:
             found = s[pos] if pos < n else "end of text"
             raise ScalarParseError(
-                f"expected digits at position {pos + 1} in {text!r}, found {found!r}"
+                f"expected digits at position {pos + 1} in {_quote(text)}, found {found!r}"
             )
         num = _digit_run(s[digits_start:pos])
         den = 1
@@ -272,17 +288,21 @@ def parse_scalar(text: str) -> Scalar:
         return Scalar(0, first) if first_imag else Scalar(first, 0)
     if first_imag:
         raise ScalarParseError(
-            f"unexpected {s[pos]!r} at position {pos + 1} in {text!r}:"
+            f"unexpected {s[pos]!r} at position {pos + 1} in {_quote(text)}:"
             " the imaginary term must come last"
         )
     if s[pos] not in "+-":
-        raise ScalarParseError(f"unexpected {s[pos]!r} at position {pos + 1} in {text!r}")
+        raise ScalarParseError(f"unexpected {s[pos]!r} at position {pos + 1} in {_quote(text)}")
     second_at = pos + 1
     second_imag, second = signed_term()
     if not second_imag:
-        raise ScalarParseError(f"expected an imaginary term at position {second_at} in {text!r}")
+        raise ScalarParseError(
+            f"expected an imaginary term at position {second_at} in {_quote(text)}"
+        )
     if pos != n:
-        raise ScalarParseError(f"trailing {s[pos:]!r} at position {pos + 1} in {text!r}")
+        raise ScalarParseError(
+            f"trailing {_quote(s[pos:])} at position {pos + 1} in {_quote(text)}"
+        )
     return Scalar(first, second)
 
 
@@ -728,8 +748,19 @@ class _JsonAt:
     def expect(self, kind: type):
         """The value, which must be a JSON ``kind``: dict, list, str, int (not bool) or bool."""
         if type(self.value) is not kind:
-            raise TypeError(f"{self.path} must be a JSON {self._TYPES[kind]}, not {self.value!r}")
+            raise TypeError(f"{self.path} must be a JSON {self._TYPES[kind]}, not {self.quoted()}")
         return self.value
+
+    def quoted(self) -> str:
+        return _quote(self.value)
+
+    def build(self, make, *args):
+        """``make(*args)``, a record read from this value: a rejection by the record's own
+        check names this path."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: {exc}") from None
 
     def _at(self, key, value) -> "_JsonAt":
         return _JsonAt(value, f"{self.path}/{str(key).replace('~', '~0').replace('/', '~1')}")
@@ -760,7 +791,8 @@ def vector_to_json(v: Vector) -> list:
 
 
 def vector_from_json(data) -> Vector:
-    return Vector(tuple(e.scalar() for e in _JsonAt.of(data, "vector")))
+    data = _JsonAt.of(data, "vector")
+    return data.build(Vector, tuple(e.scalar() for e in data))
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -773,4 +805,5 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(data) -> Matrix:
     data = _JsonAt.of(data, "matrix")
     rows = [[e.scalar() for e in row] for row in data["rows"]]
-    return Matrix(rows, ncols=data["ncols"].expect(int) if "ncols" in data.expect(dict) else None)
+    ncols = data["ncols"].expect(int) if "ncols" in data.expect(dict) else None
+    return data.build(Matrix, rows, ncols)

@@ -229,57 +229,77 @@ def run(stages) -> tuple:
     """Enumerate all branches; histories in depth-first outcome order.
 
     The walk keeps an explicit stack, so a process may have any number of
-    stages.  Histories that share a prefix share its TraceEntry objects.
+    stages.  Each distinct (stage, state) is worked out once, and within a
+    run equal TraceEntry objects are one object, shared by every history.
     """
     stages = tuple(stages)
     _validate_process(stages)
     histories = []
     trace = []  # the entries of the branch being walked, one per stage so far
-    # each frame: (stage to run next, state, probability, entry for the stage before it)
-    stack = [(0, None, Rational(1), None)]
+    known = {}  # (stage, state[, condition applies]) -> [(entry, kernel weight or None)]
+    entries = {}  # (stage, outcome, state) -> its one TraceEntry
+    products = {}  # (id(matrix), state) -> matrix @ state; the stages pin each matrix
+    leaf_weights = {}  # id(entry) -> Born weight of a quantum leaf; `entries` pins each entry
+
+    def entry_of(*fields):  # equal entries are one object
+        return entries.setdefault(fields, TraceEntry(*fields))
+
+    def apply(matrix, state):  # each Matrix @ Vector runs once per matrix and state
+        key = (id(matrix), state)
+        return products[key] if key in products else products.setdefault(key, matrix @ state)
+
+    # each frame: (stage to run next, probability, entry for the stage before it)
+    stack = [(0, Rational(1), None)]
     while stack:
-        idx, state, probability, entry = stack.pop()
+        idx, probability, entry = stack.pop()
         if entry is not None:
             del trace[idx - 1 :]
             trace.append(entry)
+        state = entry.state if idx else None
         if idx == len(stages):
-            if probability is None:  # a quantum leaf, C psi = x / dx: |C psi|^2 = x.x / dx^2
-                x, dx = state.parts, state.den
-                probability = Rational(sum(map(mul, x, x)) * den2, dx * dx * norm)
+            if isinstance(state, Vector):  # a quantum leaf, C psi = x / dx: |C psi|^2 = x.x / dx^2
+                probability = leaf_weights.get(id(entry))
+                if probability is None:
+                    x, dx = state.parts, state.den
+                    probability = Rational(sum(map(mul, x, x)) * den2, dx * dx * norm)
+                    leaf_weights[id(entry)] = probability
             histories.append(History(probability, tuple(trace)))
             continue
         st = stages[idx]
-        children = []  # the frame fields after this stage, in outcome order
-        if isinstance(st, Prepare):
-            # Lüders' rule in sequence: a history's probability is |C psi|^2 / |psi|^2 for the
-            # chain C of projectors and unitaries that made its leaf; it is None until the leaf
-            norm, den2 = sum(map(mul, st.state.parts, st.state.parts)), st.state.den**2
-            children.append((st.state, None, "-"))
-        elif isinstance(st, Measure):
-            for out in st.observable.outcomes:
-                post = out.projector @ state
-                # P is a hermitian projector, so <psi, P psi> = |P psi|^2: zero iff P psi is
-                if not post.is_zero():
-                    children.append((post, probability, out.label))
-        elif isinstance(st, ConditionalUnitary):
-            cond = st.condition
-            applies = trace[cond.stage].outcome == cond.label
-            children.append((st.matrix @ state if applies else state, probability, "-"))
-        elif isinstance(st, ClassicalPrepare):
-            children.append((st.point, probability, "-"))
-        elif isinstance(st, ClassicalStep):
-            row = st.kernel.get(state)
-            if row is None:
-                raise ValueError(f"kernel has no transition row for point {state!r}")
-            for target, p in row:
-                if p == 0:
-                    continue
-                children.append((target, probability * p, target))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown stage {st!r}")
+        key = (idx, state)
+        if isinstance(st, ConditionalUnitary):
+            key += (trace[st.condition.stage].outcome == st.condition.label,)
+        children = known.get(key)
+        if children is None:
+            children = known[key] = []  # in outcome order
+            if isinstance(st, Prepare):
+                # Lüders' rule in sequence: a history's probability is |C psi|^2 / |psi|^2 for the
+                # chain C of projectors and unitaries that made its leaf; quantum frames keep 1
+                norm, den2 = sum(map(mul, st.state.parts, st.state.parts)), st.state.den**2
+                children.append((entry_of(idx, "-", st.state), None))
+            elif isinstance(st, Measure):
+                for out in st.observable.outcomes:
+                    post = apply(out.projector, state)
+                    # P is a hermitian projector, so <psi, P psi> = |P psi|^2: zero iff P psi is
+                    if not post.is_zero():
+                        children.append((entry_of(idx, out.label, post), None))
+            elif isinstance(st, ConditionalUnitary):
+                after = apply(st.matrix, state) if key[2] else state
+                children.append((entry_of(idx, "-", after), None))
+            elif isinstance(st, ClassicalPrepare):
+                children.append((entry_of(idx, "-", st.point), None))
+            elif isinstance(st, ClassicalStep):
+                row = st.kernel.get(state)
+                if row is None:
+                    raise ValueError(f"kernel has no transition row for point {state!r}")
+                for target, p in row:
+                    if p != 0:
+                        children.append((entry_of(idx, target, target), p))
+            else:  # pragma: no cover
+                raise TypeError(f"unknown stage {st!r}")
         # pushed last-first, so the first outcome is walked first
-        for after, p, outcome in reversed(children):
-            stack.append((idx + 1, after, p, TraceEntry(idx, outcome, after)))
+        for child, weight in reversed(children):
+            stack.append((idx + 1, probability if weight is None else probability * weight, child))
     return tuple(histories)
 
 
@@ -309,11 +329,11 @@ def evaluate_in(formula: Proposition, history: History) -> bool:
 def _evaluate(formula, history, memo):
     """``evaluate_in`` with a ``memo`` dict: each atom is evaluated once per trace entry.
 
-    ``memo`` is keyed on ``(id(atom), id(entry))``: ``run`` shares each
-    TraceEntry between all the histories through it, so an atom is
-    evaluated once per distinct entry.  Each value pins its entry, so an id
-    cannot be reused while the memo lives.  The queries walk a formula once
-    per distinct tuple of entries at its stages (``_truth_values``).
+    ``memo`` is keyed on ``(id(atom), id(entry))``: ``run`` makes equal
+    TraceEntries one object, so an atom is evaluated once per distinct
+    entry.  Each value pins its entry, so an id cannot be reused while the
+    memo lives.  The queries walk a formula once per distinct tuple of
+    entries at its stages (``_truth_values``).
     """
 
     def leaf(atom):
@@ -533,7 +553,9 @@ def _observable_to_json(obs: Observable) -> dict:
 def _transition(pair) -> tuple:
     # one [point, probability] entry of a classical kernel row
     if len(pair.expect(list)) != 2:
-        raise TypeError(f"{pair.path} must be a JSON pair [point, probability], not {pair.value!r}")
+        raise TypeError(
+            f"{pair.path} must be a JSON pair [point, probability], not {pair.quoted()}"
+        )
     point, p = pair
     return point.expect(str), p.rational()
 
@@ -566,25 +588,23 @@ def stage_from_json(data):
     data = _JsonAt.of(data, "stage")
     kind = data["kind"].expect(str)
     if kind == "prepare":
-        return Prepare(vector_from_json(data["state"]))
+        return data.build(Prepare, vector_from_json(data["state"]))
     if kind == "measure":
         obs = data["observable"]
         outcomes = tuple(
             Outcome(o["label"].expect(str), o["value"].rational(), matrix_from_json(o["projector"]))
             for o in obs["outcomes"]
         )
-        return Measure(Observable(obs["name"].expect(str), outcomes))
+        return Measure(obs.build(Observable, obs["name"].expect(str), outcomes))
     if kind == "conditional_unitary":
         cond = data["condition"]
-        return ConditionalUnitary(
-            OutcomeIs(cond["stage"].expect(int), cond["outcome"].expect(str)),
-            matrix_from_json(data["matrix"]),
-        )
+        condition = OutcomeIs(cond["stage"].expect(int), cond["outcome"].expect(str))
+        return data.build(ConditionalUnitary, condition, matrix_from_json(data["matrix"]))
     if kind == "classical_prepare":
         return ClassicalPrepare(data["point"].expect(str))
     if kind == "classical_step":
         kernel = {src: tuple(_transition(t) for t in row) for src, row in data["kernel"].items()}
-        return ClassicalStep(kernel)
+        return data["kernel"].build(ClassicalStep, kernel)
     raise ValueError(f"unknown stage kind {kind!r}")
 
 

@@ -96,7 +96,7 @@ class Interval(Record):
         lo, hi = data["lo"], data["hi"]
         lo = None if lo.value == "-inf" else lo.rational()
         hi = None if hi.value == "inf" else hi.rational()
-        return cls(lo, hi, *(data[k].expect(bool) for k in ("lo_closed", "hi_closed")))
+        return data.build(cls, lo, hi, *(data[k].expect(bool) for k in ("lo_closed", "hi_closed")))
 
 
 class Proposition(Record):

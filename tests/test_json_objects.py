@@ -13,7 +13,7 @@ import pytest
 
 from ortholab.classical import classical_state_from_json
 from ortholab.cli import main
-from ortholab.linalg import ScalarParseError, matrix_from_json
+from ortholab.linalg import ScalarParseError, _quote, matrix_from_json
 from ortholab.process import hatch_demo, process_from_json, process_to_json, spin_demo
 
 NOT_OBJECTS = [[], None, "x"]
@@ -199,4 +199,104 @@ def test_paths_escape_keys_as_json_pointers():
     message = "process/1/kernel/a~1b~0c/0/1: zero denominator in token '1/0'"
     with pytest.raises(ScalarParseError) as info:
         process_from_json(stages)
+    assert str(info.value) == message
+
+
+# -- a long rejected value is quoted in part -------------------------------------
+
+
+def assert_one_short_line(capsys, argv, start):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"ortholab: error: {start}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert len(captured.err.encode("utf-8")) < 200
+
+
+def test_a_long_string_in_a_mistyped_value_is_cut(capsys, tmp_path):
+    a = write(tmp_path, "a.json", {"space_dim": 2, "basis": {"x": "a" * 1_000_000}})
+    start = "fileA/basis must be a JSON list, not {'x': 'aaa"
+    assert_one_short_line(capsys, ["lattice", "ortho", a], start)
+
+
+def test_a_long_scalar_text_is_cut(capsys, tmp_path):
+    a = write(tmp_path, "a.json", {"space_dim": 2, "basis": [["1", "2" + "x" * 1_000_000]]})
+    start = "fileA/basis/0/1: unexpected 'x' at position 2 in '2xxx"
+    assert_one_short_line(capsys, ["lattice", "ortho", a], start)
+
+
+def test_a_long_kernel_transition_is_cut():
+    data = _edit(hatch_demo, (1, "kernel", "p", 0), ["q", "1/2", "r" * 1_000_000])
+    with pytest.raises(TypeError) as info:
+        process_from_json(data)
+    message = str(info.value)
+    assert message.startswith("process/1/kernel/p/0 must be a JSON pair")
+    assert message.endswith(", not ['q', '1/2', '" + "r" * 79 + "…]")
+
+
+def test_quoted_values_keep_what_fits():
+    fits = {"lo": ["x" * 78, None, -3.5], "it's": 'say "hi"' * 9}
+    assert _quote(fits) == repr(fits)
+    long = "it's" + "\\" * 100
+    assert _quote(long) == repr(long)[:80] + "…"
+    many = ["x"] * 10_000
+    assert _quote(many) == repr(many)[:1000] + "…"
+
+
+# -- a record's own check, after reading, names the path it read -----------------
+
+
+def test_an_empty_state_names_its_path(capsys, tmp_path):
+    prop = write(tmp_path, "p.json", {"type": "true"})
+    state = write(tmp_path, "s.json", {"state": []})
+    message = "state_file/state: vectors must have positive dimension"
+    assert_error(capsys, ["props", "eval", prop, state], message)
+
+
+def test_a_window_out_of_order_names_its_path(capsys, tmp_path):
+    window = dict(WINDOW, lo="1", hi="0")
+    prop = {"type": "expectation_in", "observable": S_X, "set": [WINDOW, window]}
+    prop = write(tmp_path, "p.json", {"type": "not", "child": prop})
+    state = write(tmp_path, "s.json", {"state": ["1", "0"]})
+    message = "prop_file/child/set/1: interval endpoints out of order: 1 > 0"
+    assert_error(capsys, ["props", "eval", prop, state], message)
+
+
+def test_a_ragged_matrix_names_its_path():
+    with pytest.raises(ValueError) as info:
+        matrix_from_json({"rows": [["1", "0"], ["1"]]})
+    assert str(info.value) == "matrix: matrix rows must have equal length"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"points": ["a", "a"], "amplitude": ["1", "1"]},
+         "classical state/points: phase space points must be distinct"),
+        ({"points": ["a", "b"], "amplitude": ["1"]},
+         "classical state: amplitude dim 1 != phase space size 2"),
+    ],
+)  # fmt: skip
+def test_a_classical_state_check_names_its_path(data, message):
+    with pytest.raises(ValueError) as info:
+        classical_state_from_json(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "demo, path, value, message",
+    [
+        (spin_demo, (0, "state"), ["0", "0"], "process/0: cannot prepare the zero vector"),
+        (spin_demo, (1, "observable", "outcomes", 0, "projector"), S_X,
+         "process/1/observable: projector 'y+' is not idempotent"),
+        (spin_demo, (2, "matrix"), S_X, "process/2: conditional stage needs a unitary matrix"),
+        (hatch_demo, (1, "kernel", "p", 0, 1), "1/4",
+         "process/1/kernel: kernel row 'p' sums to 3/4, not 1"),
+    ],
+    ids=["prepare", "observable", "conditional-unitary", "kernel"],
+)  # fmt: skip
+def test_a_stage_check_names_the_stage_path(demo, path, value, message):
+    with pytest.raises(ValueError) as info:
+        process_from_json(_edit(demo, path, value))
     assert str(info.value) == message

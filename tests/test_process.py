@@ -194,6 +194,62 @@ class TestRun:
         assert first.trace[1] is not fifth.trace[1]
 
 
+def _alternating(m):
+    # z-up, then m fair measurements x, z, y, z, ...; the x+ branch is turned onto a y ray
+    axes = ("x", "z", "y", "z")
+    stages = [Prepare(Z_UP)]
+    for j in range(m):
+        stages.append(Measure(spin_observable(axes[j % 4])))
+        if j == 0:
+            stages.append(ConditionalUnitary(OutcomeIs(1, "x+"), Matrix.diagonal(1, "i")))
+    return tuple(stages)
+
+
+def _count_matmul(monkeypatch):
+    calls = []  # (id(matrix), operand) per Matrix @ call
+    original = Matrix.__matmul__
+
+    def counting(matrix, other):
+        calls.append((id(matrix), other))
+        return original(matrix, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    return calls
+
+
+class TestSharedWork:
+    def test_a_repeated_measurement_of_an_eigenstate_applies_two_projectors(self, monkeypatch):
+        stages = (Prepare(Z_UP),) + (Measure(spin_observable("z")),) * 1000
+        calls = _count_matmul(monkeypatch)
+        histories = run(stages)
+        assert [h.probability for h in histories] == [1]
+        assert len(calls) == 2
+
+    def test_each_matrix_is_applied_once_per_state(self, monkeypatch):
+        stages = _alternating(10)
+        calls = _count_matmul(monkeypatch)
+        histories = run(stages)
+        assert len(histories) == 2**10
+        assert {h.probability for h in histories} == {Fraction(1, 2**10)}
+        assert len(calls) == len(set(calls))
+        assert len(calls) < 200  # applying them on every branch takes 2,047 calls
+
+    def test_equal_entries_are_one_object(self):
+        x, z = spin_observable("x"), spin_observable("z")
+        histories = run((Prepare(Z_UP), Measure(x), Measure(z), Measure(x)))
+        # x+ z+ x+ and x- z+ x+: both branches reach z+ in the state (1, 0)/2
+        first, fifth = histories[0], histories[4]
+        assert first.trace[1] != fifth.trace[1]
+        assert first.trace[2] is fifth.trace[2]
+        assert first.trace[3] is fifth.trace[3]
+        for stages in (THREE_MEASUREMENTS, _alternating(6), spin_demo()[0], hatch_demo()[0]):
+            histories = run(stages)
+            for k in range(len(stages)):
+                seen = {}
+                for h in histories:
+                    assert seen.setdefault(h.trace[k], h.trace[k]) is h.trace[k]
+
+
 class TestProcessValidation:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ValueError, match="mix"):
