@@ -114,9 +114,7 @@ class Subspace:
 
     def contains(self, v: Vector) -> bool:
         """Exact membership test (the zero vector belongs to every subspace)."""
-        if v.dim != self.space_dim:
-            raise ValueError(f"vector dim {v.dim} != space_dim {self.space_dim}")
-        stacked = [list(row) for row in self.rows] + [list(v.parts)]
+        stacked = [list(row) for row in self.rows] + [list(_in_space(v, self.space_dim).parts)]
         return len(_reduce(stacked, self.space_dim)) == self.dim
 
     def __and__(self, other):
@@ -149,6 +147,13 @@ def _check_space_dim(space_dim: int):
         raise ValueError("space_dim must be >= 1")
 
 
+def _in_space(v: Vector, space_dim: int) -> Vector:
+    """``v``, which must have ``space_dim`` entries."""
+    if v.dim != space_dim:
+        raise ValueError(f"vector dim {v.dim} != space_dim {space_dim}")
+    return v
+
+
 def _same_space(s: Subspace, t: Subspace):
     if s.space_dim != t.space_dim:
         raise ValueError(f"space dimension mismatch: {s.space_dim} vs {t.space_dim}")
@@ -163,11 +168,7 @@ def _canonical(rows, space_dim: int) -> Subspace:
 def span(vectors, space_dim: int) -> Subspace:
     """Smallest subspace containing the given vectors; empty input spans zero."""
     _check_space_dim(space_dim)
-    vectors = tuple(vectors)
-    for v in vectors:
-        if v.dim != space_dim:
-            raise ValueError(f"vector dim {v.dim} != space_dim {space_dim}")
-    return _canonical([list(v.parts) for v in vectors], space_dim)
+    return _canonical([list(_in_space(v, space_dim).parts) for v in vectors], space_dim)
 
 
 def ortho(s: Subspace) -> Subspace:
@@ -294,7 +295,11 @@ def subspace_to_json(s: Subspace) -> dict:
 
 def subspace_from_json(data) -> Subspace:
     data = _JsonAt.of(data, "subspace")
-    space_dim = data["space_dim"].expect(int)
+    at = data["space_dim"]
+    space_dim = at.expect(int)
     if space_dim > MAX_INPUT_DIM:
-        raise ValueError(f"space_dim {space_dim} is over the limit of {MAX_INPUT_DIM}")
-    return span([vector_from_json(row) for row in data["basis"]], space_dim)
+        raise ValueError(f"{at.path}: space_dim {space_dim} is over the limit of {MAX_INPUT_DIM}")
+    rows = [(row, vector_from_json(row)) for row in data["basis"]]
+    # span's own checks, in its order, each naming the field it rejects
+    at.build(_check_space_dim, space_dim)
+    return span([row.build(_in_space, v, space_dim) for row, v in rows], space_dim)

@@ -71,10 +71,7 @@ def _quote(value) -> str:
 def _to_rational(value, what="scalar parts"):
     """``value`` as a Rational: a string must be real in the scalar grammar; floats are refused."""
     if isinstance(value, str):
-        z = _JsonAt(value, what).scalar()
-        if z.im:
-            raise ValueError(f"{what} must be real, not {value!r}")
-        return z.re
+        return _JsonAt(value, what).rational()
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: {what} must be exact rationals")
     return Rational(value)
@@ -219,91 +216,65 @@ def format_scalar(z: Scalar) -> str:
     re, im = z.re, z.im
     if not im:
         return str(re)
-    if im == 1:
-        imag = "i"
-    elif im == -1:
-        imag = "-i"
-    else:
-        imag = f"{im}i"
+    imag = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
     if not re:
         return imag
     return f"{re}+{imag}" if im > 0 else f"{re}{imag}"
 
 
+# a term: a sign, then the unit i or digits with an optional /digits and an optional i.  A run
+# may match empty, to be named where it is missing; [0-9], as \d takes any Unicode digit
+_TERM = re.compile(r"([+-]?)(?:i|([0-9]*)(?:/([0-9]*))?(i?))")
+
+
+def _at(pos: int, text: str) -> str:
+    return f"at position {pos + 1} in {_quote(text)}"
+
+
+def _term(s: str, pos: int, text: str) -> tuple:
+    # the term at s[pos:], s being parse_scalar's text stripped: (end, is imaginary, value)
+    m = _TERM.match(s, pos)
+    sign, num, den, imag = m.groups()
+    if num is None:  # the unit i
+        return m.end(), True, Rational(-1 if sign == "-" else 1)
+    if not num:
+        found = s[m.end(1) : m.end(1) + 1] or "end of text"
+        raise ScalarParseError(f"expected digits {_at(m.end(1), text)}, found {found!r}")
+    num = _digit_run(num)
+    if den is not None:
+        if not den:
+            raise ScalarParseError(f"expected denominator digits in token {s[pos : m.end(3)]!r}")
+        den = _digit_run(den)
+        if not den:
+            raise ScalarParseError(f"zero denominator in token {s[pos : m.end(3)]!r}")
+    return m.end(), imag == "i", Rational(-num if sign == "-" else num, den)
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar wire grammar; exact inverse of the canonical printer.
 
-    Accepted forms: ``3``, ``-1/2``, ``i``, ``-i``, ``2i``, ``1+i``,
-    ``3/4-1/3i``.  A real part, when present, precedes the imaginary part.
+    Accepted forms: ``3``, ``-1/2``, ``i``, ``-i``, ``2i``, ``1+i``, ``3/4-1/3i``: a term of the
+    pattern ``_TERM``, ``[+-]?(i|[0-9]+(/[0-9]+)?i?)``, or a real term then a signed imaginary one.
     """
     if not isinstance(text, str):
         raise TypeError(f"scalars must be strings in the scalar grammar, not {_quote(text)}")
     # surrounding whitespace is ignored; positions count in the text as given
     s = text.rstrip()
-    n = len(s)
-    pos = n - len(s.lstrip())
-    if pos == n:
+    pos = len(s) - len(s.lstrip())
+    if pos == len(s):
         raise ScalarParseError("empty scalar text")
-
-    def signed_term():
-        # one signed term; returns (is_imaginary, rational value)
-        nonlocal pos
-        start = pos
-        sign = 1
-        if pos < n and s[pos] in "+-":
-            if s[pos] == "-":
-                sign = -1
-            pos += 1
-        if pos < n and s[pos] == "i":
-            pos += 1
-            return True, Rational(sign)
-        digits_start = pos
-        while pos < n and s[pos] in "0123456789":
-            pos += 1
-        if pos == digits_start:
-            found = s[pos] if pos < n else "end of text"
-            raise ScalarParseError(
-                f"expected digits at position {pos + 1} in {_quote(text)}, found {found!r}"
-            )
-        num = _digit_run(s[digits_start:pos])
-        den = 1
-        if pos < n and s[pos] == "/":
-            pos += 1
-            den_start = pos
-            while pos < n and s[pos] in "0123456789":
-                pos += 1
-            if pos == den_start:
-                raise ScalarParseError(f"expected denominator digits in token {s[start:pos]!r}")
-            den = _digit_run(s[den_start:pos])
-            if den == 0:
-                raise ScalarParseError(f"zero denominator in token {s[start:pos]!r}")
-        value = Rational(sign * num, den)
-        if pos < n and s[pos] == "i":
-            pos += 1
-            return True, value
-        return False, value
-
-    first_imag, first = signed_term()
-    if pos == n:
-        return Scalar(0, first) if first_imag else Scalar(first, 0)
-    if first_imag:
-        raise ScalarParseError(
-            f"unexpected {s[pos]!r} at position {pos + 1} in {_quote(text)}:"
-            " the imaginary term must come last"
-        )
-    if s[pos] not in "+-":
-        raise ScalarParseError(f"unexpected {s[pos]!r} at position {pos + 1} in {_quote(text)}")
-    second_at = pos + 1
-    second_imag, second = signed_term()
+    pos, first_imag, first = _term(s, pos, text)
+    if pos == len(s):
+        return _scalar(RAT_ZERO, first) if first_imag else _scalar(first, RAT_ZERO)
+    if first_imag or s[pos] not in "+-":
+        last = ": the imaginary term must come last" if first_imag else ""
+        raise ScalarParseError(f"unexpected {s[pos]!r} {_at(pos, text)}{last}")
+    end, second_imag, second = _term(s, pos, text)
     if not second_imag:
-        raise ScalarParseError(
-            f"expected an imaginary term at position {second_at} in {_quote(text)}"
-        )
-    if pos != n:
-        raise ScalarParseError(
-            f"trailing {_quote(s[pos:])} at position {pos + 1} in {_quote(text)}"
-        )
-    return Scalar(first, second)
+        raise ScalarParseError(f"expected an imaginary term {_at(pos, text)}")
+    if end != len(s):
+        raise ScalarParseError(f"trailing {_quote(s[end:])} {_at(end, text)}")
+    return _scalar(first, second)
 
 
 def _digit_run(digits: str) -> int:
@@ -783,7 +754,10 @@ class _JsonAt:
             raise ScalarParseError(f"{self.path}: {exc}") from None
 
     def rational(self) -> Rational:
-        return _to_rational(self.expect(str), self.path)
+        z = self.scalar()
+        if z.im:
+            raise ValueError(f"{self.path} must be real, not {self.quoted()}")
+        return z.re
 
 
 def vector_to_json(v: Vector) -> list:

@@ -287,12 +287,20 @@ class TestInputBounds:
     @pytest.mark.parametrize("space_dim", [-3, 0])
     def test_space_dim_below_one_exit_two(self, capsys, tmp_path, space_dim):
         code, out, err = self._ortho(capsys, tmp_path, space_dim)
-        assert (code, out, err) == (2, "", "ortholab: error: space_dim must be >= 1\n")
+        message = "fileA/space_dim: space_dim must be >= 1"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
 
     @pytest.mark.parametrize("space_dim", [MAX_INPUT_DIM + 1, 10**18])
     def test_space_dim_over_the_bound_exit_two(self, capsys, tmp_path, space_dim):
         code, out, err = self._ortho(capsys, tmp_path, space_dim)
-        message = f"space_dim {space_dim} is over the limit of {MAX_INPUT_DIM}"
+        message = f"fileA/space_dim: space_dim {space_dim} is over the limit of {MAX_INPUT_DIM}"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
+
+    def test_basis_row_of_another_length_names_its_row(self, capsys, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"space_dim": 2, "basis": [["1", "0"], ["1", "0", "0"]]}))
+        code, out, err = run_cli(capsys, "lattice", "ortho", str(a))
+        message = "fileA/basis/1: vector dim 3 != space_dim 2"
         assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
 
     @pytest.mark.parametrize("structure", ["subspace", "boolean"])
@@ -417,6 +425,14 @@ class TestWireFields:
         assert out == ""
         message = f"fileA/space_dim must be a JSON integer, not {space_dim!r}"
         assert err == f"ortholab: error: {message}\n"
+
+    def test_long_complex_endpoint_is_quoted_bounded(self, capsys, tmp_path):
+        # "must be real" quotes the endpoint cut at 80 characters, as every rejection does
+        window = {"lo": "1+" + "1" * 4000 + "i", "hi": "inf", "lo_closed": True, "hi_closed": True}
+        code, out, err = run_cli(capsys, "props", "eval", *_window_prop(tmp_path, window))
+        assert (code, out) == (2, "")
+        assert err.startswith("ortholab: error: prop_file/set/0/lo must be real, not '1+111")
+        assert err.endswith("…\n") and len(err.encode()) < 200
 
     def test_overlong_state_entry_is_reported_in_our_words(self, capsys, tmp_path):
         window = {"lo": "0", "hi": "inf", "lo_closed": True, "hi_closed": True}
