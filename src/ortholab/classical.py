@@ -24,7 +24,6 @@ from .lattice import (
     GAUSSIAN_RATIONAL,
     RATIONAL_REAL,
     Subspace,
-    distributes,
     join,
     meet,
     span,
@@ -164,7 +163,7 @@ def two_state_demo(field: str = RATIONAL_REAL) -> TwoStateVerdict:
         pairwise_meets_zero=pairwise,
         left=left,
         right=right,
-        is_distributive=distributes(balanced, first, second),
+        is_distributive=left == right,
     )
     # internal consistency: these equalities are forced by the construction
     if not (pairwise and left == balanced and right == zero and not verdict.is_distributive):

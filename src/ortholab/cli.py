@@ -139,7 +139,9 @@ def _cmd_lattice(args) -> tuple[dict, dict, int]:
         raise ValueError(f"lattice {args.op} needs two subspace files")
     inputs = {}
     files = zip(("fileA", "fileB"), paths)
-    value = op(*(subspace_from_json(_read_json(inputs, k, p)) for k, p in files))
+    subspaces = [subspace_from_json(data := _read_json(inputs, k, p)) for k, p in files]
+    # a dimension mismatch names the second file's space_dim
+    value = data["space_dim"].build(op, *subspaces)
     return ({"leq": value} if op is leq else {"result": subspace_to_json(value)}), inputs, 0
 
 
@@ -182,8 +184,9 @@ def _cmd_props(args) -> tuple[dict, dict, int]:
 
     inputs = {}
     prop = proposition_from_json(_read_json(inputs, "prop_file", args.prop_file))
-    state = vector_from_json(_read_json(inputs, "state_file", args.state_file)["state"])
-    return {"value": evaluate(prop, state)}, inputs, 0
+    at = _read_json(inputs, "state_file", args.state_file)["state"]
+    # a state of the wrong dimension, or zero, is named at its node
+    return {"value": at.build(evaluate, prop, vector_from_json(at))}, inputs, 0
 
 
 def _render_text(value, indent: int = 0) -> list:

@@ -26,7 +26,7 @@ import itertools
 import operator
 import re
 
-from .linalg import Record
+from .linalg import Record, _quote
 from .lattice import (
     GAUSSIAN_RATIONAL,
     Subspace,
@@ -75,7 +75,7 @@ class Var(Term):
 
     def __post_init__(self):
         if not _VAR_RE.fullmatch(self.name):
-            raise ValueError(f"invalid variable name {self.name!r}")
+            raise ValueError(f"invalid variable name {_quote(self.name)}")
 
 
 class Top(Term):
@@ -157,7 +157,7 @@ def _tokenize(text: str) -> list:
 
 def _fail(tok: _Token, expected: str):
     found = tok.text or "end of input"
-    raise IdentitySyntaxError(f"expected {expected}, found {found!r}", tok.position)
+    raise IdentitySyntaxError(f"expected {expected}, found {_quote(found)}", tok.position)
 
 
 class _Parser:

@@ -58,14 +58,15 @@ class ScalarParseError(ValueError):
 _STR_REPR = r"'(?:[^'\\]|\\.)*'|\"[^\"]*\""
 
 
-def _cut(text: str, limit: int) -> str:
+def _cut(value, limit: int = 80) -> str:
+    text = str(value)
     return text if len(text) <= limit else f"{text[:limit]}…"
 
 
 def _quote(value) -> str:
     """``repr(value)`` for an error message, bounded: each string in it past 80 characters,
     and the whole past 1,000, is cut there and marked ``…``."""
-    return _cut(re.sub(_STR_REPR, lambda m: _cut(m[0], 80), repr(value)), 1000)
+    return _cut(re.sub(_STR_REPR, lambda m: _cut(m[0]), repr(value)), 1000)
 
 
 def _to_rational(value, what="scalar parts"):
@@ -293,7 +294,7 @@ def _as_scalar(value) -> Scalar:
         return parse_scalar(value)
     if isinstance(value, _RATIONAL_TYPES):
         return Scalar(value)
-    raise TypeError(f"cannot interpret {value!r} as a scalar")
+    raise TypeError(f"cannot interpret {_quote(value)} as a scalar")
 
 
 class Vector:
@@ -385,14 +386,32 @@ def _same_dim(a: int, b: int):
         raise ValueError(f"dimension mismatch: {a} vs {b}")
 
 
+def _dot(x, y) -> tuple:
+    """``(re, im)`` of ``sum(conj(a) * b)`` over flattened Gaussian integers ``x`` and ``y``:
+    the real part pairs like parts, the imaginary part crosses them."""
+    return sum(map(mul, x, y)), sum(map(mul, x[::2], y[1::2])) - sum(map(mul, x[1::2], y[::2]))
+
+
 def inner(v: Vector, w: Vector) -> Scalar:
     """Hermitian inner product, conjugate-linear in the FIRST argument."""
     _same_dim(v.dim, w.dim)
+    return _scalar_over(*_dot(v.parts, w.parts), v.den * w.den)
+
+
+def _norm_ratio(v: Vector, w: Vector) -> Rational:
+    """``|v|^2 / |w|^2`` for a nonzero ``w``: for ``v = x / dx``, ``|v|^2 = x.x / dx^2``."""
     x, y = v.parts, w.parts
-    # conj(a) * b, summed: the real part pairs like parts, the imaginary part crosses them
-    re = sum(map(mul, x, y))
-    im = sum(map(mul, x[::2], y[1::2])) - sum(map(mul, x[1::2], y[::2]))
-    return _scalar_over(re, im, v.den * w.den)
+    return Rational(sum(map(mul, x, x)) * w.den**2, v.den**2 * sum(map(mul, y, y)))
+
+
+def _expectation(observable: "Matrix", state: Vector) -> Rational:
+    """``<psi, A psi> / <psi, psi>`` for callers that checked ``A`` and ``psi`` already."""
+    # psi = x / dx and A psi = y / dy, so <psi, A psi> / <psi, psi> = (x.y) dx / (dy (x.x))
+    x, post = state.parts, observable @ state
+    re, im = _dot(x, post.parts)
+    if im:
+        raise ArithmeticError("hermitian expectation produced a nonzero imaginary part")
+    return Rational(re * state.den, post.den * sum(map(mul, x, x)))
 
 
 def outer(v: Vector, w: Vector) -> "Matrix":

@@ -14,7 +14,6 @@ measurement coexist in one Boolean expression without ambiguity.
 
 from __future__ import annotations
 
-from operator import mul
 from types import MappingProxyType
 
 from .linalg import (
@@ -23,6 +22,9 @@ from .linalg import (
     Record,
     Vector,
     _JsonAt,
+    _cut,
+    _norm_ratio,
+    _quote,
     _to_rational,
     matrix_from_json,
     matrix_to_json,
@@ -98,20 +100,20 @@ class Observable(Record):
     def __post_init__(self):
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if not self.outcomes:
-            raise ValueError(f"observable {self.name!r} has no outcomes")
+            raise ValueError(f"observable {_quote(self.name)} has no outcomes")
         dim = self.outcomes[0].projector.ncols
         total = None
         for out in self.outcomes:
             p = out.projector
             if p.nrows != dim or p.ncols != dim:
-                raise ValueError(f"projector {out.label!r} is not {dim}x{dim}")
+                raise ValueError(f"projector {_quote(out.label)} is not {dim}x{dim}")
             if not p.is_hermitian():
-                raise ValueError(f"projector {out.label!r} is not hermitian")
+                raise ValueError(f"projector {_quote(out.label)} is not hermitian")
             if p @ p != p:
-                raise ValueError(f"projector {out.label!r} is not idempotent")
+                raise ValueError(f"projector {_quote(out.label)} is not idempotent")
             total = p if total is None else total + p
         if total != Matrix.identity(dim):
-            raise ValueError(f"projectors of {self.name!r} do not sum to the identity")
+            raise ValueError(f"projectors of {_quote(self.name)} do not sum to the identity")
 
     @property
     def dim(self) -> int:
@@ -164,13 +166,11 @@ class ClassicalStep(Record):
             row = tuple(
                 (str(target), _to_rational(p, "probabilities")) for target, p in transitions
             )
-            total = Rational(0)
-            for _, p in row:
-                if p < 0:
-                    raise ValueError(f"negative probability in kernel row {source!r}")
-                total += p
+            if any(p < 0 for _, p in row):
+                raise ValueError(f"negative probability in kernel row {_quote(source)}")
+            total = sum((p for _, p in row), Rational(0))
             if total != 1:
-                raise ValueError(f"kernel row {source!r} sums to {total}, not 1")
+                raise ValueError(f"kernel row {_quote(source)} sums to {_cut(total)}, not 1")
             normalized[str(source)] = row
         object.__setattr__(self, "kernel", MappingProxyType(normalized))
 
@@ -220,26 +220,29 @@ def _validate_process(stages):
             if not isinstance(target, Measure):
                 raise ValueError(f"stage {idx} conditions on stage {cond.stage}, not a measurement")
             if cond.label not in target.observable.labels():
-                raise ValueError(
-                    f"stage {idx} conditions on unknown outcome {cond.label!r}"
-                )
+                raise ValueError(f"stage {idx} conditions on unknown outcome {_quote(cond.label)}")
 
 
 def run(stages) -> tuple:
     """Enumerate all branches; histories in depth-first outcome order.
 
     The walk keeps an explicit stack, so a process may have any number of
-    stages.  Each distinct (stage, state) is worked out once, and within a
-    run equal TraceEntry objects are one object, shared by every history.
+    stages, and starts below stage 0, the preparation's one branch.  Each
+    distinct (stage, state) is worked out once, and within a run equal
+    TraceEntry objects are one object, shared by every history.  A quantum
+    history's Born weight, |C psi|^2 / |psi|^2 for the chain C of projectors
+    and unitaries that made its leaf (Lüders' rule in sequence), is formed
+    once per last-stage branch; a classical one is its kernel weights' product.
     """
     stages = tuple(stages)
     _validate_process(stages)
+    prepared = stages[0].state if isinstance(stages[0], Prepare) else stages[0].point
+    last = len(stages) - 1
     histories = []
     trace = []  # the entries of the branch being walked, one per stage so far
-    known = {}  # (stage, state[, condition applies]) -> [(entry, kernel weight or None)]
+    known = {}  # (stage, state[, condition applies]) -> [(entry, weight)]
     entries = {}  # (stage, outcome, state) -> its one TraceEntry
     products = {}  # (id(matrix), state) -> matrix @ state; the stages pin each matrix
-    leaf_weights = {}  # id(entry) -> Born weight of a quantum leaf; `entries` pins each entry
 
     def entry_of(*fields):  # equal entries are one object
         return entries.setdefault(fields, TraceEntry(*fields))
@@ -248,58 +251,44 @@ def run(stages) -> tuple:
         key = (id(matrix), state)
         return products[key] if key in products else products.setdefault(key, matrix @ state)
 
-    # each frame: (stage to run next, probability, entry for the stage before it)
-    stack = [(0, Rational(1), None)]
+    def quantum_child(idx, outcome, state):  # its weight is None, or its history's Born weight
+        return entry_of(idx, outcome, state), _norm_ratio(state, prepared) if idx == last else None
+
+    # each frame: (stage to run next, probability, entry for the stage before it); a quantum
+    # frame's probability is None until the last stage, whose children carry their Born weights
+    quantum = isinstance(prepared, Vector)
+    stack = [(1, None if quantum and last else Rational(1), entry_of(0, "-", prepared))]
     while stack:
         idx, probability, entry = stack.pop()
-        if entry is not None:
-            del trace[idx - 1 :]
-            trace.append(entry)
-        state = entry.state if idx else None
-        if idx == len(stages):
-            if isinstance(state, Vector):  # a quantum leaf, C psi = x / dx: |C psi|^2 = x.x / dx^2
-                probability = leaf_weights.get(id(entry))
-                if probability is None:
-                    x, dx = state.parts, state.den
-                    probability = Rational(sum(map(mul, x, x)) * den2, dx * dx * norm)
-                    leaf_weights[id(entry)] = probability
+        del trace[idx - 1 :]
+        trace.append(entry)
+        if idx > last:
             histories.append(History(probability, tuple(trace)))
             continue
-        st = stages[idx]
+        st, state = stages[idx], entry.state
         key = (idx, state)
         if isinstance(st, ConditionalUnitary):
             key += (trace[st.condition.stage].outcome == st.condition.label,)
         children = known.get(key)
         if children is None:
             children = known[key] = []  # in outcome order
-            if isinstance(st, Prepare):
-                # Lüders' rule in sequence: a history's probability is |C psi|^2 / |psi|^2 for the
-                # chain C of projectors and unitaries that made its leaf; quantum frames keep 1
-                norm, den2 = sum(map(mul, st.state.parts, st.state.parts)), st.state.den**2
-                children.append((entry_of(idx, "-", st.state), None))
-            elif isinstance(st, Measure):
+            if isinstance(st, Measure):
                 for out in st.observable.outcomes:
                     post = apply(out.projector, state)
                     # P is a hermitian projector, so <psi, P psi> = |P psi|^2: zero iff P psi is
                     if not post.is_zero():
-                        children.append((entry_of(idx, out.label, post), None))
+                        children.append(quantum_child(idx, out.label, post))
             elif isinstance(st, ConditionalUnitary):
                 after = apply(st.matrix, state) if key[2] else state
-                children.append((entry_of(idx, "-", after), None))
-            elif isinstance(st, ClassicalPrepare):
-                children.append((entry_of(idx, "-", st.point), None))
-            elif isinstance(st, ClassicalStep):
+                children.append(quantum_child(idx, "-", after))
+            else:  # a ClassicalStep, the only classical stage after the preparation
                 row = st.kernel.get(state)
                 if row is None:
-                    raise ValueError(f"kernel has no transition row for point {state!r}")
-                for target, p in row:
-                    if p != 0:
-                        children.append((entry_of(idx, target, target), p))
-            else:  # pragma: no cover
-                raise TypeError(f"unknown stage {st!r}")
+                    raise ValueError(f"kernel has no transition row for point {_quote(state)}")
+                children.extend((entry_of(idx, target, target), p) for target, p in row if p != 0)
         # pushed last-first, so the first outcome is walked first
         for child, weight in reversed(children):
-            stack.append((idx + 1, probability if weight is None else probability * weight, child))
+            stack.append((idx + 1, weight if probability is None else probability * weight, child))
     return tuple(histories)
 
 
@@ -472,7 +461,7 @@ def spin_observable(axis: str) -> Observable:
         "z": (spin.PROJ_Z_UP, spin.PROJ_Z_DOWN),
     }
     if axis not in projs:
-        raise ValueError(f"unknown spin axis {axis!r}")
+        raise ValueError(f"unknown spin axis {_quote(axis)}")
     up, down = projs[axis]
     return Observable(
         f"S_{axis}",
@@ -605,7 +594,7 @@ def stage_from_json(data):
     if kind == "classical_step":
         kernel = {src: tuple(_transition(t) for t in row) for src, row in data["kernel"].items()}
         return data["kernel"].build(ClassicalStep, kernel)
-    raise ValueError(f"unknown stage kind {kind!r}")
+    raise ValueError(f"unknown stage kind {_quote(kind)}")
 
 
 def process_to_json(stages) -> list:

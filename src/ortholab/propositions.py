@@ -11,7 +11,6 @@ on given states.
 from __future__ import annotations
 
 import itertools
-from operator import mul
 
 from .linalg import (
     Matrix,
@@ -20,6 +19,10 @@ from .linalg import (
     Scalar,
     Vector,
     _JsonAt,
+    _cut,
+    _expectation,
+    _quote,
+    _same_dim,
     _to_rational,
     matrix_from_json,
     matrix_to_json,
@@ -67,7 +70,7 @@ class Interval(Record):
         object.__setattr__(self, "lo", _endpoint(self.lo))
         object.__setattr__(self, "hi", _endpoint(self.hi))
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+            raise ValueError(f"interval endpoints out of order: {_cut(self.lo)} > {_cut(self.hi)}")
 
     @classmethod
     def point(cls, value) -> "Interval":
@@ -171,18 +174,6 @@ def expectation(observable: Matrix, state: Vector):
     return _expectation(observable, state)
 
 
-def _expectation(observable: Matrix, state: Vector):
-    # expectation() without its checks, for callers that made them already (ExpectationIn
-    # checks its observable once); ``observable @ state`` raises a dimension mismatch.
-    # psi = x / dx and A psi = y / dy, so <psi, A psi> / <psi, psi> = (x.y) dx / (dy (x.x))
-    x, dx = state.parts, state.den
-    post = observable @ state
-    y, dy = post.parts, post.den
-    if sum(map(mul, x[::2], y[1::2])) != sum(map(mul, x[1::2], y[::2])):
-        raise ArithmeticError("hermitian expectation produced a nonzero imaginary part")
-    return Rational(sum(map(mul, x, y)) * dx, dy * sum(map(mul, x, x)))
-
-
 def truth(node, leaf) -> bool:
     """Truth value of a tree of ``And``, ``Or``, ``Not`` and ``Constant`` nodes.
 
@@ -230,8 +221,7 @@ def evaluate(prop: Proposition, state: Vector) -> bool:
             value = _expectation(node.observable, state)
             return any(w.contains(value) for w in node.windows)
         if isinstance(node, EqualsVector):
-            if node.vector.dim != state.dim:
-                raise ValueError(f"dimension mismatch: {node.vector.dim} vs {state.dim}")
+            _same_dim(node.vector.dim, state.dim)
             return state == node.vector
         raise TypeError(f"not a proposition node: {node!r}")
 
@@ -319,4 +309,4 @@ def proposition_from_json(data) -> Proposition:
         return Or(tuple(proposition_from_json(c) for c in data["children"]))
     if tag == "not":
         return Not(proposition_from_json(data["child"]))
-    raise ValueError(f"unknown proposition tag {tag!r}")
+    raise ValueError(f"unknown proposition tag {_quote(tag)}")

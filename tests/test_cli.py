@@ -1,12 +1,28 @@
 import builtins
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from ortholab import cli
 from ortholab.cli import main
+from ortholab.dsl import Var
 from ortholab.lattice import MAX_INPUT_DIM, MAX_TRIALS
+from ortholab.linalg import Matrix, vec
+from ortholab.process import (
+    ClassicalPrepare,
+    ClassicalStep,
+    ConditionalUnitary,
+    Measure,
+    Observable,
+    Outcome,
+    OutcomeIs,
+    Prepare,
+    process_from_json,
+    run,
+    spin_observable,
+)
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +150,15 @@ class TestLattice:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("op", ["meet", "join", "leq"])
+    def test_dimension_mismatch_names_the_second_file(self, capsys, tmp_path, op):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"space_dim": 2, "basis": []}))
+        b.write_text(json.dumps({"space_dim": 3, "basis": []}))
+        code, out, err = run_cli(capsys, "lattice", op, str(a), str(b))
+        message = "fileB/space_dim: space dimension mismatch: 2 vs 3"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
+
 
 class TestCheck:
     def test_boolean_law_holds_exit_zero(self, capsys):
@@ -253,6 +278,34 @@ class TestProps:
         code, report = run_json(capsys, "props", "eval", str(prop), str(state))
         assert code == 0
         assert report["results"]["value"] is True
+
+
+    @pytest.mark.parametrize(
+        "prop, state, message",
+        [
+            (
+                {
+                    "type": "expectation_in",
+                    "observable": {"rows": [["1", "0"], ["0", "1"]]},
+                    "set": [],
+                },
+                ["1", "0", "0"],
+                "dimension mismatch: 2 vs 3",
+            ),
+            (
+                {"type": "in_subspace", "subspace": {"space_dim": 3, "basis": []}},
+                ["1", "0"],
+                "vector dim 2 != space_dim 3",
+            ),
+        ],
+        ids=["expectation_in", "in_subspace"],
+    )
+    def test_state_of_another_dimension_is_named(self, capsys, tmp_path, prop, state, message):
+        prop_file, state_file = tmp_path / "prop.json", tmp_path / "state.json"
+        prop_file.write_text(json.dumps(prop))
+        state_file.write_text(json.dumps({"state": state}))
+        code, out, err = run_cli(capsys, "props", "eval", str(prop_file), str(state_file))
+        assert (code, out, err) == (2, "", f"ortholab: error: state_file/state: {message}\n")
 
 
 class TestDeepInput:
@@ -511,3 +564,96 @@ class TestVectorsAreJsonLists:
         state = self._write(tmp_path, "s.json", {"state": ["1", "0"]})
         message = "prop_file/vector must be a JSON list, not '10'"
         self._assert_rejected(capsys, ("props", "eval", prop, state), message)
+
+
+
+LONG = "x" * 100_000
+
+
+def _cli(argv, *files):
+    """A CLI case: ``argv`` then each ``(name, text)`` of ``files``, written to a file."""
+
+    def case(capsys, tmp_path):
+        for name, text in files:
+            (tmp_path / name).write_text(text)
+        paths = [str(tmp_path / name) for name, _ in files]
+        code, out, err = run_cli(capsys, *argv, *paths)
+        assert (code, out) == (2, "")
+        return err
+
+    return case
+
+
+def _raises(exc_type, build):
+    """A Python case: ``build()`` raises ``exc_type`` itself, not a subclass."""
+
+    def case(capsys, tmp_path):
+        with pytest.raises(exc_type) as info:
+            build()
+        assert type(info.value) is exc_type
+        return f"{info.value}\n"
+
+    return case
+
+
+def _window_text(lo, hi):
+    window = {"lo": lo, "hi": hi, "lo_closed": True, "hi_closed": True}
+    return json.dumps({"type": "expectation_in", "observable": {"rows": [["1"]]}, "set": [window]})
+
+
+STATE_FILE = ("state.json", json.dumps({"state": ["1"]}))
+EYE = Matrix.identity(2)
+BOUNDED_CASES = {
+    "proposition tag": _cli(["props", "eval"], ("p.json", json.dumps({"type": LONG})), STATE_FILE),
+    "identity token": _cli(["check", "--structure", "boolean", "--file"], ("f", f"x {LONG} = x")),
+    "interval endpoints": _cli(
+        ["props", "eval"], ("p.json", _window_text("9" * 4001, "0")), STATE_FILE
+    ),
+    "kernel row key": _raises(
+        ValueError,
+        lambda: process_from_json(
+            [
+                {"kind": "classical_prepare", "point": "a"},
+                {"kind": "classical_step", "kernel": {LONG: [["a", "1/2"]]}},
+            ]
+        ),
+    ),
+    "kernel row sum": _raises(
+        ValueError, lambda: ClassicalStep({"a": (("a", Fraction(10**200 + 1, 10**200)),)})
+    ),
+    "negative probability": _raises(
+        ValueError, lambda: ClassicalStep({LONG: (("a", 2), ("b", -1))})
+    ),
+    "stage kind": _raises(ValueError, lambda: process_from_json([{"kind": LONG}])),
+    "transition row": _raises(
+        ValueError, lambda: run((ClassicalPrepare(LONG), ClassicalStep({"a": (("a", 1),)})))
+    ),
+    "projector label": _raises(
+        ValueError, lambda: Observable("o", (Outcome(LONG, 0, Matrix([[1, 1], [0, 1]])),))
+    ),
+    "observable name": _raises(ValueError, lambda: Observable(LONG, ())),
+    "observable sum": _raises(
+        ValueError, lambda: Observable(LONG, (Outcome("a", 0, EYE), Outcome("b", 0, EYE)))
+    ),
+    "condition outcome": _raises(
+        ValueError,
+        lambda: run(
+            (
+                Prepare(vec(1, 0)),
+                Measure(spin_observable("z")),
+                ConditionalUnitary(OutcomeIs(1, LONG), EYE),
+            )
+        ),
+    ),
+    "variable name": _raises(ValueError, lambda: Var(f"{LONG}!")),
+    "scalar": _raises(TypeError, lambda: vec([LONG])),
+    "spin axis": _raises(ValueError, lambda: spin_observable(LONG)),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDED_CASES))
+def test_a_rejected_value_is_quoted_bounded(capsys, tmp_path, name):
+    # each quoted value is cut after 80 characters, so the line stays short however long it is
+    err = BOUNDED_CASES[name](capsys, tmp_path)
+    assert err.count("\n") == 1 and err.endswith("\n") and "…" in err
+    assert len(err.encode()) < 300, err[:400]

@@ -225,6 +225,13 @@ class TestSharedWork:
         assert [h.probability for h in histories] == [1]
         assert len(calls) == 2
 
+    def test_the_born_weight_is_formed_once_per_last_stage_branch(self, monkeypatch):
+        stages = (Prepare(Z_UP),) + (Measure(spin_observable("z")),) * 1000
+        calls, original = [], process._norm_ratio
+        monkeypatch.setattr(process, "_norm_ratio", lambda *vw: calls.append(vw) or original(*vw))
+        assert [h.probability for h in run(stages)] == [1]
+        assert calls == [(Z_UP, Z_UP)]
+
     def test_each_matrix_is_applied_once_per_state(self, monkeypatch):
         stages = _alternating(10)
         calls = _count_matmul(monkeypatch)

@@ -82,7 +82,7 @@ def _copied(obs):
 def quantum_processes(draw):
     stages = [Prepare(draw(STATES))]
     measured = []  # stage indices of the measurements so far
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(0, 4))):
         if measured and draw(st.booleans()):
             k = draw(st.sampled_from(measured))
             label = draw(st.sampled_from(stages[k].observable.labels()))
@@ -114,7 +114,7 @@ def kernels(draw):
 @st.composite
 def classical_processes(draw):
     stages = [ClassicalPrepare(draw(st.sampled_from(POINTS)))]
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(0, 4))):
         step = draw(kernels())
         stages.extend([step] * draw(st.integers(1, 2)))
     return tuple(stages)
@@ -185,3 +185,11 @@ def test_demos_match_the_oracle(demo):
     for left in atoms:
         for right in atoms:
             _assert_same_as_oracle(stages, left, right | ~left)
+
+
+@pytest.mark.parametrize("stage", [Prepare(vec(2, "1+i")), ClassicalPrepare("p")])
+def test_a_preparation_alone_is_one_sure_history(stage):
+    (history,) = run((stage,))
+    assert (type(history.probability), history.probability) == (Fraction, Fraction(1))
+    assert [(t.stage, t.outcome) for t in history.trace] == [(0, "-")]
+    assert history.state_at(0) == (stage.state if isinstance(stage, Prepare) else stage.point)
