@@ -244,10 +244,12 @@ def _term(s: str, pos: int, text: str) -> tuple:
     num = _digit_run(num)
     if den is not None:
         if not den:
-            raise ScalarParseError(f"expected denominator digits in token {s[pos : m.end(3)]!r}")
+            raise ScalarParseError(
+                f"expected denominator digits in token {_quote(s[pos : m.end(3)])}"
+            )
         den = _digit_run(den)
         if not den:
-            raise ScalarParseError(f"zero denominator in token {s[pos : m.end(3)]!r}")
+            raise ScalarParseError(f"zero denominator in token {_quote(s[pos : m.end(3)])}")
     return m.end(), imag == "i", Rational(-num if sign == "-" else num, den)
 
 

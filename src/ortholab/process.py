@@ -233,6 +233,8 @@ def run(stages) -> tuple:
     history's Born weight, |C psi|^2 / |psi|^2 for the chain C of projectors
     and unitaries that made its leaf (Lüders' rule in sequence), is formed
     once per last-stage branch; a classical one is its kernel weights' product.
+    A last-stage branch's history, its parent's trace plus one entry, is made
+    where the last stage branches, without a frame of its own.
     """
     stages = tuple(stages)
     _validate_process(stages)
@@ -262,7 +264,7 @@ def run(stages) -> tuple:
         idx, probability, entry = stack.pop()
         del trace[idx - 1 :]
         trace.append(entry)
-        if idx > last:
+        if idx > last:  # a preparation alone: its one history
             histories.append(History(probability, tuple(trace)))
             continue
         st, state = stages[idx], entry.state
@@ -286,6 +288,12 @@ def run(stages) -> tuple:
                 if row is None:
                     raise ValueError(f"kernel has no transition row for point {_quote(state)}")
                 children.extend((entry_of(idx, target, target), p) for target, p in row if p != 0)
+        if idx == last:  # its children's histories are made here, in outcome order
+            prefix = tuple(trace)
+            for child, weight in children:
+                p = weight if probability is None else probability * weight
+                histories.append(History(p, prefix + (child,)))
+            continue
         # pushed last-first, so the first outcome is walked first
         for child, weight in reversed(children):
             stack.append((idx + 1, weight if probability is None else probability * weight, child))
@@ -375,9 +383,17 @@ def holds_surely(formula: Proposition, histories) -> bool:
 
 
 def prob_of(formula: Proposition, histories):
-    """Exact probability mass of the histories where the formula is true."""
-    values = _truth_values(formula, histories, {})
-    return sum((h.probability for h, value in values if value), Rational(0))
+    """Exact probability mass of the histories where the formula is true.
+
+    Numerators are added once per denominator, then the few sums as Rationals: a gcd per
+    denominator, not per history.  The result is still exact and in lowest terms.
+    """
+    numerators = {}  # denominator -> sum of the true histories' numerators over it
+    for h, value in _truth_values(formula, histories, {}):
+        if value:
+            p = h.probability
+            numerators[p.denominator] = numerators.get(p.denominator, 0) + p.numerator
+    return sum((Rational(n, d) for d, n in numerators.items()), Rational(0))
 
 
 def formula_stages(formula: Proposition) -> frozenset:

@@ -1,13 +1,15 @@
-"""The original ``process.run``, kept as an oracle.
+"""The original ``process.run`` and queries, kept as an oracle.
 
 ``run`` is copied verbatim from ``ortholab.process`` as it was before a run
 worked out each distinct (stage, state) once: it applies every projector
 and unitary on every branch and builds a new TraceEntry for each child, so
 histories share entries only along a common prefix.  ``_validate_process``
 is imported, not copied: both versions check a process the same way.
+``prob_of`` and ``holds_surely`` are the plain queries: one ``evaluate_in``
+per history, and one Rational addition per true history.
 ``tests/test_process_oracle.py`` checks that the current ``run`` gives the
 same histories, in the same order, with the same probabilities, and that
-every query answers the same on both.
+every query answers the same as these.
 """
 
 from operator import mul
@@ -22,6 +24,7 @@ from ortholab.process import (
     Prepare,
     TraceEntry,
     _validate_process,
+    evaluate_in,
 )
 
 
@@ -81,3 +84,13 @@ def run(stages) -> tuple:
         for after, p, outcome in reversed(children):
             stack.append((idx + 1, after, p, TraceEntry(idx, outcome, after)))
     return tuple(histories)
+
+
+def holds_surely(formula, histories) -> bool:
+    """True iff the formula holds in every history."""
+    return all(evaluate_in(formula, h) for h in histories)
+
+
+def prob_of(formula, histories):
+    """Exact probability mass of the histories where the formula is true."""
+    return sum((h.probability for h in histories if evaluate_in(formula, h)), Rational(0))

@@ -2,7 +2,9 @@
 
 ``parse_scalar`` is copied verbatim from ``ortholab.linalg`` as it was before
 the scalar grammar became one compiled term pattern: it walks the text one
-character at a time in a nested ``signed_term`` scanner.
+character at a time in a nested ``signed_term`` scanner.  One edit since:
+its two ``in token …`` messages quote the token through ``_quote``, so a
+long token is cut there as the current reader cuts it.
 ``tests/test_scalar_oracle.py`` checks that the current reader returns the
 same value, or raises the same error type with the same message, on every
 input it generates.
@@ -54,10 +56,12 @@ def parse_scalar(text: str) -> Scalar:
             while pos < n and s[pos] in "0123456789":
                 pos += 1
             if pos == den_start:
-                raise ScalarParseError(f"expected denominator digits in token {s[start:pos]!r}")
+                raise ScalarParseError(
+                    f"expected denominator digits in token {_quote(s[start:pos])}"
+                )
             den = _digit_run(s[den_start:pos])
             if den == 0:
-                raise ScalarParseError(f"zero denominator in token {s[start:pos]!r}")
+                raise ScalarParseError(f"zero denominator in token {_quote(s[start:pos])}")
         value = Rational(sign * num, den)
         if pos < n and s[pos] == "i":
             pos += 1

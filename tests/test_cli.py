@@ -609,6 +609,16 @@ BOUNDED_CASES = {
     "interval endpoints": _cli(
         ["props", "eval"], ("p.json", _window_text("9" * 4001, "0")), STATE_FILE
     ),
+    "zero denominator token": _cli(
+        ["props", "eval"],
+        ("p.json", _window_text("0", "1")),
+        ("state.json", json.dumps({"state": ["1/" + "0" * 4000]})),
+    ),
+    "denominator digits token": _cli(
+        ["props", "eval"],
+        ("p.json", _window_text("0", "1")),
+        ("state.json", json.dumps({"state": ["1" * 4000 + "/"]})),
+    ),
     "kernel row key": _raises(
         ValueError,
         lambda: process_from_json(

@@ -257,6 +257,56 @@ class TestSharedWork:
                     assert seen.setdefault(h.trace[k], h.trace[k]) is h.trace[k]
 
 
+class TestLastStageHistories:
+    def test_siblings_come_in_outcome_order_and_share_their_prefix(self):
+        stages = _alternating(10)
+        last = len(stages) - 1
+        labels = list(stages[last].observable.labels())
+        histories = run(stages)
+        assert len(histories) == 2**10
+        for first, second in zip(histories[::2], histories[1::2]):
+            assert [first.trace[last].outcome, second.trace[last].outcome] == labels
+            assert len(first.trace) == len(second.trace) == len(stages)
+            assert all(a is b for a, b in zip(first.trace[:last], second.trace[:last]))
+
+
+class TestExactSums:
+    # hand-built classical histories, one per (probability, point reached at stage 1)
+    HISTORIES = tuple(
+        History(p, (TraceEntry(0, "-", "p"), TraceEntry(1, point, point)))
+        for p, point in (
+            (HALF, "a"),
+            (Fraction(1, 3), "a"),
+            (Fraction(1, 6), "b"),
+            (1, "b"),
+            (Fraction(1, 3), "c"),
+            (Fraction(5, 6), "c"),
+            (Fraction(1, 2**40), "a"),
+        )
+    )
+
+    def test_mixed_denominators_and_an_int_add_up_as_fractions(self):
+        a, b, c = (Atom(PointIs(point), 1) for point in "abc")
+        for formula in (a, b, c, a | b, b | c, a | c, a | b | c, ~b):
+            want = sum(
+                (Fraction(h.probability) for h in self.HISTORIES if evaluate_in(formula, h)),
+                Fraction(0),
+            )
+            got = prob_of(formula, self.HISTORIES)
+            assert (type(got), got.numerator, got.denominator) == (
+                Fraction,
+                want.numerator,
+                want.denominator,
+            )
+        assert prob_of(b | c, self.HISTORIES) == Fraction(7, 3)
+
+    def test_no_true_history_gives_a_fraction_zero(self):
+        a = Atom(PointIs("a"), 1)
+        for histories in (self.HISTORIES, ()):
+            got = prob_of(a & ~a, histories)
+            assert (type(got), got) == (Fraction, Fraction(0))
+
+
 class TestProcessValidation:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ValueError, match="mix"):
