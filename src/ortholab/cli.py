@@ -173,7 +173,7 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
         statements = parse_statement_lines(_read_input(inputs, "file", args.file))
     reports = [check(s, structure, trials=args.trials, seed=args.seed) for s in statements]
     code = 0 if all(r.holds for r in reports) else 1
-    if len(reports) == 1 and args.statement is not None:
+    if args.statement is not None:
         return reports[0].to_json(), inputs, code
     return {"checks": [r.to_json() for r in reports]}, inputs, code
 

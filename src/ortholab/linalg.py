@@ -199,12 +199,25 @@ def _scalars(parts, den: int) -> tuple:
     return tuple(_scalar_over(re, im, den) for re, im in zip(parts[::2], parts[1::2]))
 
 
+# the most an integer form built from values may cost: its parts count times the bit length of
+# their common denominator, about the bits that scaling adds to its numerators (here 8 MiB).  The
+# cost grows with the square of the input when the denominators differ, as in 2,000 entries 1/p
+MAX_FORM_BITS = 1 << 26
+
+
 def _integer_row(row) -> tuple:
     """``(ints, scale)``: Scalars as flattened Gaussian integers ``ints / scale``, ``scale`` the
     lcm of the parts' denominators (so ``gcd(scale, *ints) == 1``).  The one place Scalars
-    become parts: a Vector or Matrix built from values, and a ``scale`` factor."""
+    become parts: a Vector or Matrix built from values, and a ``scale`` factor.  A form past
+    ``MAX_FORM_BITS`` is refused before any numerator is scaled."""
     parts = [x for e in row for x in (e.re, e.im)]
     scale = lcm(*[x.denominator for x in parts])
+    bits = scale.bit_length()
+    if len(parts) * bits > MAX_FORM_BITS:
+        raise ValueError(
+            f"{len(parts) // 2} entries over a {bits}-bit common denominator"
+            f" take {len(parts) * bits} bits, over the limit of {MAX_FORM_BITS}"
+        )
     return [x.numerator * (scale // x.denominator) for x in parts], scale
 
 
@@ -740,11 +753,9 @@ class _JsonAt:
     def expect(self, kind: type):
         """The value, which must be a JSON ``kind``: dict, list, str, int (not bool) or bool."""
         if type(self.value) is not kind:
-            raise TypeError(f"{self.path} must be a JSON {self._TYPES[kind]}, not {self.quoted()}")
+            found = _quote(self.value)
+            raise TypeError(f"{self.path} must be a JSON {self._TYPES[kind]}, not {found}")
         return self.value
-
-    def quoted(self) -> str:
-        return _quote(self.value)
 
     def build(self, make, *args):
         """``make(*args)``, a record read from this value: a rejection by the record's own
@@ -777,7 +788,7 @@ class _JsonAt:
     def rational(self) -> Rational:
         z = self.scalar()
         if z.im:
-            raise ValueError(f"{self.path} must be real, not {self.quoted()}")
+            raise ValueError(f"{self.path} must be real, not {_quote(self.value)}")
         return z.re
 
 

@@ -197,12 +197,15 @@ class History(Record):
         return self.trace[stage].state
 
 
-def _validate_process(stages):
+def _validate_process(stages) -> bool:
+    """Reject a malformed process before any walk, and return whether it is quantum; every
+    measurement and unitary must act on the prepared state's dimension."""
     if not stages:
         raise ValueError("a process needs at least one stage")
     if not isinstance(stages[0], (Prepare, ClassicalPrepare)):
         raise ValueError("a process must start with a preparation")
     quantum = isinstance(stages[0], Prepare)
+    dim = stages[0].state.dim if quantum else None
     for idx, st in enumerate(stages):
         if quantum and not isinstance(st, _QUANTUM_STAGES):
             raise ValueError("cannot mix classical stages into a quantum process")
@@ -210,6 +213,12 @@ def _validate_process(stages):
             raise ValueError("cannot mix quantum stages into a classical process")
         if idx and isinstance(st, (Prepare, ClassicalPrepare)):
             raise ValueError(f"stage {idx}: preparation is only allowed first")
+        if isinstance(st, (Measure, ConditionalUnitary)):
+            acts_on = st.observable.dim if isinstance(st, Measure) else st.matrix.ncols
+            if acts_on != dim:
+                raise ValueError(
+                    f"stage {idx} acts on dimension {acts_on}, the prepared state has {dim}"
+                )
         if isinstance(st, ConditionalUnitary):
             cond = st.condition
             if not 0 <= cond.stage < idx:
@@ -221,6 +230,7 @@ def _validate_process(stages):
                 raise ValueError(f"stage {idx} conditions on stage {cond.stage}, not a measurement")
             if cond.label not in target.observable.labels():
                 raise ValueError(f"stage {idx} conditions on unknown outcome {_quote(cond.label)}")
+    return quantum
 
 
 def run(stages) -> tuple:
@@ -233,13 +243,15 @@ def run(stages) -> tuple:
     history's Born weight, |C psi|^2 / |psi|^2 for the chain C of projectors
     and unitaries that made its leaf (Lüders' rule in sequence), is formed
     once per last-stage branch; a classical one is its kernel weights' product.
-    A last-stage branch's history, its parent's trace plus one entry, is made
-    where the last stage branches, without a frame of its own.
+    A preparation alone is one sure history.  Otherwise every history, its
+    parent's trace plus one entry, is made where the last stage branches.
     """
     stages = tuple(stages)
-    _validate_process(stages)
-    prepared = stages[0].state if isinstance(stages[0], Prepare) else stages[0].point
+    quantum = _validate_process(stages)
+    prepared = stages[0].state if quantum else stages[0].point
     last = len(stages) - 1
+    if not last:
+        return (History(Rational(1), (TraceEntry(0, "-", prepared),)),)
     histories = []
     trace = []  # the entries of the branch being walked, one per stage so far
     known = {}  # (stage, state[, condition applies]) -> [(entry, weight)]
@@ -258,15 +270,11 @@ def run(stages) -> tuple:
 
     # each frame: (stage to run next, probability, entry for the stage before it); a quantum
     # frame's probability is None until the last stage, whose children carry their Born weights
-    quantum = isinstance(prepared, Vector)
-    stack = [(1, None if quantum and last else Rational(1), entry_of(0, "-", prepared))]
+    stack = [(1, None if quantum else Rational(1), entry_of(0, "-", prepared))]
     while stack:
         idx, probability, entry = stack.pop()
         del trace[idx - 1 :]
         trace.append(entry)
-        if idx > last:  # a preparation alone: its one history
-            histories.append(History(probability, tuple(trace)))
-            continue
         st, state = stages[idx], entry.state
         key = (idx, state)
         if isinstance(st, ConditionalUnitary):
@@ -378,7 +386,7 @@ def _truth_values(formula, histories, memo):
 
 
 def holds_surely(formula: Proposition, histories) -> bool:
-    """True iff the formula holds in every positive-probability history."""
+    """True iff the formula holds in every history given; ``run`` gives none of probability 0."""
     return all(value for _, value in _truth_values(formula, histories, {}))
 
 
@@ -559,7 +567,7 @@ def _transition(pair) -> tuple:
     # one [point, probability] entry of a classical kernel row
     if len(pair.expect(list)) != 2:
         raise TypeError(
-            f"{pair.path} must be a JSON pair [point, probability], not {pair.quoted()}"
+            f"{pair.path} must be a JSON pair [point, probability], not {_quote(pair.value)}"
         )
     point, p = pair
     return point.expect(str), p.rational()

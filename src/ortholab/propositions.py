@@ -16,7 +16,6 @@ from .linalg import (
     Matrix,
     Rational,
     Record,
-    Scalar,
     Vector,
     _JsonAt,
     _cut,
@@ -245,7 +244,7 @@ def is_subspace_closed(prop: Proposition, probe_states) -> bool:
     for u, w in itertools.combinations_with_replacement(satisfying, 2):
         for a in _MIX_COEFFICIENTS:
             for b in _MIX_COEFFICIENTS:
-                candidate = u.scale(Scalar(a)) + w.scale(Scalar(b))
+                candidate = u.scale(a) + w.scale(b)
                 if candidate.is_zero():
                     continue
                 if not evaluate(prop, candidate):

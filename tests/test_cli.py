@@ -2,6 +2,7 @@ import builtins
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,7 +10,7 @@ from ortholab import cli
 from ortholab.cli import main
 from ortholab.dsl import Var
 from ortholab.lattice import MAX_INPUT_DIM, MAX_TRIALS
-from ortholab.linalg import Matrix, vec
+from ortholab.linalg import MAX_FORM_BITS, Matrix, vec
 from ortholab.process import (
     ClassicalPrepare,
     ClassicalStep,
@@ -385,6 +386,21 @@ class TestInputBounds:
         argv = ["check", "x = x", "--structure", "boolean", "--dim", "20"]
         code, report = run_json(capsys, *argv, "--trials", str(MAX_TRIALS))
         assert code == 0 and report["results"]["trials"] == MAX_TRIALS
+
+    def test_a_state_of_distinct_denominators_exit_two_before_scaling(self, capsys, tmp_path):
+        # 4,000 entries 1/p, each p a different 5-digit prime: a 44 KB file whose integer form
+        # would hold each of 4,000 numerators over the product of all the primes
+        primes = [p for p in range(10_007, 100_000, 2) if all(p % d for d in range(3, 317, 2))]
+        prop, state = tmp_path / "prop.json", tmp_path / "state.json"
+        prop.write_text(json.dumps({"type": "true"}))
+        state.write_text(json.dumps({"state": [f"1/{p}" for p in primes[:4000]]}))
+        code, out, err = run_cli(capsys, "props", "eval", str(prop), str(state))
+        bits = lcm(*primes[:4000]).bit_length()
+        message = (
+            f"state_file/state: 4000 entries over a {bits}-bit common denominator"
+            f" take {8000 * bits} bits, over the limit of {MAX_FORM_BITS}"
+        )
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
 
     def test_internal_error_exit_two(self, capsys, monkeypatch):
         def broken(args):

@@ -129,6 +129,28 @@ class TestMeetJoinOrtho:
         with pytest.raises(ValueError):
             meet(X_AXIS, Subspace.zero(3))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: meet(X_AXIS, Subspace.zero(3)),
+            lambda: check_orthomodular(X_AXIS, Subspace.zero(3)),
+        ],
+        ids=["meet", "check_orthomodular"],
+    )
+    def test_a_mismatch_names_both_dimensions_in_operand_order(self, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "space dimension mismatch: 2 vs 3"
+
+    def test_distributes_names_the_first_operand_against_the_mismatched_one(self):
+        # p and r share dimension 2 and q has 3, so the join q v r alone would read "3 vs 2"
+        with pytest.raises(ValueError) as info:
+            distributes(X_AXIS, Subspace.zero(3), Y_AXIS)
+        assert str(info.value) == "space dimension mismatch: 2 vs 3"
+        with pytest.raises(ValueError) as info:
+            distributes(X_AXIS, Y_AXIS, Subspace.full(3))
+        assert str(info.value) == "space dimension mismatch: 2 vs 3"
+
 
 class TestLeq:
     def test_zero_is_bottom(self):

@@ -1,8 +1,11 @@
+import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ortholab import linalg
 from ortholab.linalg import (
     Matrix,
     Rational,
@@ -19,6 +22,7 @@ from ortholab.linalg import (
     rank,
     rref,
     vec,
+    vector_from_json,
 )
 from ortholab.lattice import substream
 from ortholab.spin import SPIN_Y
@@ -269,3 +273,55 @@ class TestMatrixOps:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             Matrix([[1, 0], [1]])
+
+
+class TestIntegerFormBound:
+    """A form's parts count times its common denominator's bit length is bounded."""
+
+    PRIMES = [p for p in range(10_007, 30_000, 2) if all(p % d for d in range(3, 174, 2))][:2000]
+
+    @staticmethod
+    def _message(entries):
+        bits = lcm(*(Fraction(e).denominator for e in entries)).bit_length()
+        cost = 2 * len(entries) * bits
+        limit = linalg.MAX_FORM_BITS
+        return (
+            f"{len(entries)} entries over a {bits}-bit common denominator"
+            f" take {cost} bits, over the limit of {limit}"
+        )
+
+    def test_many_distinct_denominators_are_refused_in_every_form(self):
+        entries = [Fraction(1, p) for p in self.PRIMES]
+        message = self._message(entries)
+        for build in (
+            lambda: Vector(entries),
+            lambda: Matrix([entries]),
+            lambda: Matrix([entries[:1000], entries[1000:]]),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_a_json_form_is_refused_at_its_path(self):
+        rows = [[f"1/{p}" for p in self.PRIMES]]
+        with pytest.raises(ValueError, match=r"^matrix: 2000 entries over a "):
+            matrix_from_json({"rows": rows})
+        with pytest.raises(ValueError, match=r"^vector: 2000 entries over a "):
+            vector_from_json(rows[0])
+
+    def test_the_bound_itself_is_accepted(self, monkeypatch):
+        entries = [Fraction(1, p) for p in self.PRIMES[:10]]
+        cost = 2 * 10 * lcm(*self.PRIMES[:10]).bit_length()
+        monkeypatch.setattr(linalg, "MAX_FORM_BITS", cost)
+        assert Vector(entries).entries == tuple(Scalar(e) for e in entries)
+        monkeypatch.setattr(linalg, "MAX_FORM_BITS", cost - 1)
+        with pytest.raises(ValueError, match="over the limit of"):
+            Vector(entries)
+
+    def test_a_thousand_distinct_denominators_and_the_longest_entries_read(self):
+        entries = [Fraction(1, p) for p in self.PRIMES[:1000]]
+        assert Vector(entries).entries == tuple(Scalar(e) for e in entries)
+        # every entry of a 64-entry state over one denominator at the int-string limit
+        den = "9" * sys.get_int_max_str_digits()
+        v = vector_from_json([f"1/{den}"] * 64)
+        assert v.entries == (Scalar(Fraction(1, int(den))),) * 64

@@ -340,6 +340,33 @@ class TestProcessValidation:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "stages, message",
+        [
+            # the 3x3 unitary sits on the z- branch, which has probability 0
+            (
+                lambda: (
+                    Prepare(vec(1, 0)),
+                    Measure(spin_observable("z")),
+                    ConditionalUnitary(OutcomeIs(1, "z-"), Matrix.identity(3)),
+                ),
+                "stage 2 acts on dimension 3, the prepared state has 2",
+            ),
+            (
+                lambda: (Prepare(vec(1, 0, 0)), Measure(spin_observable("z"))),
+                "stage 1 acts on dimension 2, the prepared state has 3",
+            ),
+        ],
+        ids=["unreached-unitary", "measurement"],
+    )
+    def test_every_stage_acts_on_the_prepared_dimension(self, monkeypatch, stages, message):
+        stages = stages()
+        calls = _count_matmul(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            run(stages)
+        assert str(info.value) == message
+        assert calls == []  # rejected before the walk applies any matrix
+
     def test_non_unitary_conditional_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             ConditionalUnitary(OutcomeIs(0, "y+"), Matrix([[1, 1], [0, 1]]))
@@ -414,6 +441,12 @@ class TestFormulas:
         with pytest.raises(TypeError):
             holds_surely(f["p_i"], c_histories)
 
+    def test_queries_read_a_one_pass_iterator(self, spin, hatch):
+        for (_, f, histories), names in ((spin, ("p_i", "q_o", "r_f")), (hatch, ("p_i", "q_o"))):
+            for formula in [f[n] for n in names] + [f[names[0]] | f[names[1]], ~f[names[1]]]:
+                assert prob_of(formula, iter(histories)) == prob_of(formula, histories)
+                assert holds_surely(formula, iter(histories)) == holds_surely(formula, histories)
+
 
 class TestDistributivityVerdicts:
     def test_common_stage_before_measurement(self, spin):
@@ -465,6 +498,7 @@ class TestDistributivityVerdicts:
             got = check_distributivity(left, right, iter(histories))
             assert got == expected
             assert len(got.per_history) == len(histories) > 0
+
 
 
 class TestClassicalQuantumParallel:
