@@ -157,10 +157,12 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
 
     if (args.statement is None) == (args.file is None):
         raise ValueError("check needs exactly one of a statement argument or --file")
-    if args.dim > MAX_INPUT_DIM:
-        raise ValueError(f"--dim {args.dim} is over the limit of {MAX_INPUT_DIM}")
-    if args.trials > MAX_TRIALS:
-        raise ValueError(f"--trials {args.trials} is over the limit of {MAX_TRIALS}")
+    bounds = (("--dim", args.dim, MAX_INPUT_DIM), ("--trials", args.trials, MAX_TRIALS))
+    for flag, value, limit in bounds:
+        if value < 1:
+            raise ValueError(f"{flag} {value} is below the minimum of 1")
+        if value > limit:
+            raise ValueError(f"{flag} {value} is over the limit of {limit}")
     if args.structure == "subspace":
         structure = SubspaceLattice(args.dim)
     else:

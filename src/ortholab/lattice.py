@@ -17,6 +17,7 @@ from .linalg import (
     _JsonAt,
     _complement_rows,
     _matrix,
+    _mirror,
     _reduce,
     vector_from_json,
 )
@@ -47,7 +48,7 @@ RATIONAL_REAL = "rational-real"
 # square or faster (README, "Input bounds").
 MAX_INPUT_DIM = 64
 # The most random assignments `check --trials` may ask for: ten times the
-# default.  One subspace trial takes from 0.06 ms at dimension 2 to 0.9 s at
+# default.  One subspace trial takes from 0.07 ms at dimension 2 to 0.7 s at
 # 64, so the bound keeps a check at the smallest dimensions under a second.
 MAX_TRIALS = 10_000
 
@@ -55,33 +56,38 @@ MAX_TRIALS = 10_000
 class Subspace:
     """A subspace of a ``space_dim``-dimensional space, held in integer form.
 
-    ``rows`` holds the RREF basis without zero rows, each row scaled by the
+    ``rows`` is the RREF basis without zero rows, each row scaled by the
     least positive integer that makes all its entries Gaussian integers and
     flattened to ``(re0, im0, re1, im1, ...)`` (the integer RREF of
     ``linalg._reduce``).  That form is unique, so two Subspace values are
-    equal exactly when they denote the same subspace, and the lattice
-    operations work on these integer rows throughout.  ``basis`` builds the
+    equal exactly when they denote the same subspace.  ``basis`` builds the
     RREF Matrix from them on each access.
+
+    The rows kept may instead be in the right form, the mirror image of that
+    one: each row's pivot is its rightmost nonzero entry, and the pivot
+    columns descend.  It is unique too, and it is what the complement of an
+    integer RREF reads off, so ``ortho`` flips the form without elimination
+    and a meet costs the one reduction of its join.  ``rows`` reduces a
+    right form on each read, so that a Subspace never changes.
 
     ``Subspace(space_dim, basis)`` is the row space of ``basis``: any
     spanning rows, reduced to the canonical form on construction.
     """
 
-    __slots__ = ("space_dim", "rows")
+    __slots__ = ("space_dim", "_rows", "_right")
 
     def __init__(self, space_dim: int, basis: Matrix):
         _check_space_dim(space_dim)
         if basis.ncols != space_dim:
             raise ValueError(f"basis width {basis.ncols} != space_dim {space_dim}")
-        self.space_dim = space_dim
-        self.rows = _canonical([list(row) for row in basis.parts], space_dim).rows
+        s = _canonical([list(row) for row in basis.parts], space_dim)
+        self.space_dim, self._rows, self._right = space_dim, s._rows, False
 
     @classmethod
-    def _from_rows(cls, space_dim: int, rows) -> "Subspace":
-        # rows: the integer RREF rows of the subspace, already canonical
+    def _from_rows(cls, space_dim: int, rows, right=False) -> "Subspace":
+        # rows: the subspace's canonical integer rows, in the right form if right
         s = cls.__new__(cls)
-        s.space_dim = space_dim
-        s.rows = tuple(tuple(row) for row in rows)
+        s.space_dim, s._rows, s._right = space_dim, tuple(tuple(row) for row in rows), right
         return s
 
     @classmethod
@@ -98,23 +104,30 @@ class Subspace:
         )
 
     @property
+    def rows(self) -> tuple:
+        """The integer RREF rows (no zero rows)."""
+        if self._right:
+            return _canonical([list(row) for row in self._rows], self.space_dim)._rows
+        return self._rows
+
+    @property
     def basis(self) -> Matrix:
         """The canonical RREF basis as a Matrix (no zero rows)."""
         return _matrix(self.rows, self.space_dim)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self._rows
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.space_dim
+        return len(self._rows) == self.space_dim
 
     def contains(self, v: Vector) -> bool:
         """Exact membership test (the zero vector belongs to every subspace)."""
-        stacked = [list(row) for row in self.rows] + [list(_in_space(v, self.space_dim).parts)]
+        stacked = [list(row) for row in self._rows] + [list(_in_space(v, self.space_dim).parts)]
         return len(_reduce(stacked, self.space_dim)) == self.dim
 
     def __and__(self, other):
@@ -132,7 +145,9 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.space_dim == other.space_dim and self.rows == other.rows
+        if self._right != other._right:
+            return self.space_dim == other.space_dim and self.rows == other.rows
+        return self.space_dim == other.space_dim and self._rows == other._rows
 
     def __hash__(self):
         return hash((self.space_dim, self.rows))
@@ -173,13 +188,20 @@ def span(vectors, space_dim: int) -> Subspace:
 
 def ortho(s: Subspace) -> Subspace:
     """Orthogonal complement: all vectors orthogonal to every vector of ``s``."""
-    return Subspace._from_rows(s.space_dim, _complement_rows(s.rows, s.space_dim))
+    rows = _complement_rows(s._rows, s.space_dim, s._right)
+    return Subspace._from_rows(s.space_dim, rows, not s._right)
 
 
 def join(s: Subspace, t: Subspace) -> Subspace:
-    """Least upper bound: the span of both subspaces together."""
+    """Least upper bound: the span of both subspaces together.  Two right
+    forms join in the right form, reducing their mirrored rows."""
     _same_space(s, t)
-    return _canonical([list(row) for row in s.rows + t.rows], s.space_dim)
+    n = s.space_dim
+    if s._right and t._right:
+        rows = [_mirror(row) for row in s._rows + t._rows]
+        rank = len(_reduce(rows, n))
+        return Subspace._from_rows(n, [_mirror(row) for row in rows[:rank]], True)
+    return _canonical([list(row) for row in s._rows + t._rows], n)
 
 
 def meet(s: Subspace, t: Subspace) -> Subspace:
@@ -190,7 +212,7 @@ def meet(s: Subspace, t: Subspace) -> Subspace:
 def leq(s: Subspace, t: Subspace) -> bool:
     """Inclusion order: true iff every basis row of ``s`` lies in ``t``."""
     _same_space(s, t)
-    stacked = [list(row) for row in s.rows + t.rows]
+    stacked = [list(row) for row in s._rows + t._rows]
     return len(_reduce(stacked, s.space_dim)) == t.dim
 
 

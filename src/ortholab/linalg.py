@@ -617,7 +617,8 @@ def _apply(rows, x) -> list:
 # is divided by the gcd of its parts.  What _reduce leaves is the integer
 # RREF: each nonzero row is its RREF row times the least positive integer
 # that makes every entry a Gaussian integer, and that integer is its pivot
-# entry.  That form is unique, so the lattice layer keeps subspaces in it.
+# entry.  That form is unique, so the lattice layer keeps subspaces in it
+# or in its mirror image (_complement_rows), which is unique as well.
 # A Matrix returned (_matrix) divides each row by its pivot, over the lcm
 # of the pivots; no Scalar is built until its ``rows`` are read.
 # ---------------------------------------------------------------------------
@@ -674,7 +675,8 @@ def _reduce(rows, ncols) -> list:
 
 
 def _null_rows(rows, pivot_cols, ncols) -> list:
-    """Integer RREF basis of ``{x : rows @ x = 0}`` for integer RREF ``rows``."""
+    """Basis of ``{x : rows @ x = 0}`` for ``rows`` in either canonical form (``_complement_rows``)
+    with pivots in ``pivot_cols``: read off, not reduced, one primitive row per free column."""
     pivots = [row[2 * c] for row, c in zip(rows, pivot_cols)]
     scale = lcm(*pivots)
     basis = []
@@ -688,20 +690,32 @@ def _null_rows(rows, pivot_cols, ncols) -> list:
             q = scale // p
             out[2 * c] = -q * row[2 * free]
             out[2 * c + 1] = -q * row[2 * free + 1]
-        basis.append(out)
-    _reduce(basis, ncols)
+        basis.append(_primitive(out))
     return basis
 
 
-def _complement_rows(rows, ncols) -> list:
-    """Integer RREF basis of the orthogonal complement of the nonzero integer RREF ``rows``.
+def _mirror(row) -> list:
+    # the columns of a flattened row in reverse order, each entry's (re, im) kept
+    out = list(row[::-1])
+    out[::2], out[1::2] = out[1::2], out[::2]
+    return out
 
-    It is the nullspace of the conjugated rows.  Conjugation keeps them in
-    integer RREF, since their pivots are real, so it is read straight off.
+
+def _complement_rows(rows, ncols, right=False) -> list:
+    """The orthogonal complement of the nonzero canonical ``rows``, in the other canonical form.
+
+    The left form is the integer RREF.  The right form, with ``right``, is its mirror image
+    (``_mirror`` of the integer RREF of the mirrored rows): each pivot is its row's rightmost
+    nonzero entry and the pivot columns descend.  The complement is the nullspace of the
+    conjugated rows, which stay canonical, since their pivots are real, so it is read straight
+    off.  A row read off has its pivot at a free column and its other entries at pivot columns
+    of ``rows`` before it (left form) or after it (right form): it is in the other form.
     """
     conj = [_conj(row) for row in rows]
-    pivot_cols = [next(j for j, x in enumerate(row) if x) // 2 for row in rows]
-    return _null_rows(conj, pivot_cols, ncols)
+    find = max if right else min
+    pivot_cols = [find(j for j, x in enumerate(row) if x) // 2 for row in rows]
+    basis = _null_rows(conj, pivot_cols, ncols)
+    return basis if right else basis[::-1]
 
 
 def _matrix(rows, ncols) -> Matrix:
@@ -726,7 +740,9 @@ def nullspace(m: Matrix) -> Matrix:
     """RREF basis (as rows) of ``{x : m @ x = 0}``; has ncols - rank rows."""
     rows = [list(row) for row in m.parts]
     pivot_cols = _reduce(rows, m.ncols)
-    return _matrix(_null_rows(rows, pivot_cols, m.ncols), m.ncols)
+    basis = _null_rows(rows, pivot_cols, m.ncols)
+    _reduce(basis, m.ncols)
+    return _matrix(basis, m.ncols)
 
 
 # ---------------------------------------------------------------------------

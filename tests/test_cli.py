@@ -365,6 +365,16 @@ class TestInputBounds:
         message = f"--dim {dim} is over the limit of {MAX_INPUT_DIM}"
         assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
 
+    @pytest.mark.parametrize("structure", ["subspace", "boolean"])
+    @pytest.mark.parametrize("flag", ["--dim", "--trials"])
+    @pytest.mark.parametrize("value", [0, -1, -(10**18)])
+    def test_a_flag_below_one_is_named(self, capsys, structure, flag, value):
+        # the library's own message (space_dim, universe_size, trials must be >= 1) names no flag
+        argv = ["check", "x = x", "--structure", structure, "--dim", "2", flag, str(value)]
+        code, out, err = run_cli(capsys, *argv)
+        message = f"{flag} {value} is below the minimum of 1"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
+
     def test_the_bound_itself_is_accepted(self, capsys, tmp_path):
         code, out, _ = self._ortho(capsys, tmp_path, MAX_INPUT_DIM)
         assert code == 0 and json.loads(out)["results"]["result"]["space_dim"] == MAX_INPUT_DIM
