@@ -150,6 +150,7 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
         BooleanSetAlgebra,
         SubspaceLattice,
         check,
+        collect_variables,
         parse_statement,
         parse_statement_lines,
     )
@@ -173,6 +174,11 @@ def _cmd_check(args) -> tuple[dict, dict, int]:
     else:
         inputs = {}
         statements = parse_statement_lines(_read_input(inputs, "file", args.file))
+    # a variable is assigned a sampled proper subspace, and dimension 1 has none; a statement
+    # without variables is checked on its one assignment in any dimension
+    if args.structure == "subspace" and args.dim < 2:
+        if any(collect_variables(s.lhs) | collect_variables(s.rhs) for s in statements):
+            raise ValueError(f"--dim {args.dim} is below the minimum of 2 for --structure subspace")
     reports = [check(s, structure, trials=args.trials, seed=args.seed) for s in statements]
     code = 0 if all(r.holds for r in reports) else 1
     if args.statement is not None:

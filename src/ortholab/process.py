@@ -14,6 +14,8 @@ measurement coexist in one Boolean expression without ambiguity.
 
 from __future__ import annotations
 
+from itertools import compress, repeat, tee
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .linalg import (
@@ -263,7 +265,10 @@ def run(stages) -> tuple:
 
     def apply(matrix, state):  # each Matrix @ Vector runs once per matrix and state
         key = (id(matrix), state)
-        return products[key] if key in products else products.setdefault(key, matrix @ state)
+        post = products.get(key)
+        if post is None:
+            post = products[key] = matrix @ state
+        return post
 
     def quantum_child(idx, outcome, state):  # its weight is None, or its history's Born weight
         return entry_of(idx, outcome, state), _norm_ratio(state, prepared) if idx == last else None
@@ -366,41 +371,66 @@ def _atom_holds(atom: Atom, state) -> bool:
 
 
 def _truth_values(formula, histories, memo):
-    """Yield ``(history, truth value)`` lazily, one walk per distinct tuple of trace entries.
+    """Yield each history's truth value lazily, one walk per distinct tuple of trace entries.
 
-    The value depends only on the entries at ``formula_stages(formula)``.  It
-    is kept beside its history, which pins the ids in its key.  A history too
-    short for a stage is walked on its own, so ``state_at`` raises if it must.
+    The value depends only on the entries at ``formula_stages(formula)``, so a history's key
+    is the tuple of those entries' ids (``()`` for a formula with no stages).  C iterators
+    make the keys: one column ``map(id, map(itemgetter(s), traces))`` per stage, zipped over
+    a ``tee`` of the input, so no Python code runs per history to make one.  (CPython 3.12+
+    inlines comprehensions, PEP 709, so a per-history one costs less there and this gains
+    less.)  A key's value is kept beside a history holding its entries, which pins their ids.
+    An ``IndexError`` from the columns marks the next history as too short for a stage: it
+    is walked on its own, so ``state_at`` raises if it must, and the columns restart after it.
     """
     stages = tuple(formula_stages(formula))
-    walked = {}  # tuple of id(entry) at the formula's stages, or id(history) -> (history, value)
-    for h in histories:
-        try:
-            key = tuple([id(h.trace[s]) for s in stages])
-        except IndexError:
-            key = id(h)
-        hit = walked.get(key)
-        if hit is None:
+    walked = {}  # tuple of id(entry) at the formula's stages -> (a history with them, value)
+    rest = iter(histories)
+    while True:
+        rest, traces = tee(rest)  # rest feeds the walk, traces the columns
+        traces = tee(map(attrgetter("trace"), traces), len(stages))
+        columns = [map(id, map(itemgetter(s), t)) for s, t in zip(stages, traces)]
+        pairs = zip(zip(*columns) if stages else repeat(()), rest)
+        while True:
+            try:
+                for key, h in pairs:
+                    hit = walked.get(key)
+                    if hit is None:
+                        break
+                    yield hit[1]
+                else:
+                    return
+            except IndexError:
+                # from a column, which failed on the history next in rest; or from the input
+                # itself, which then gives no more, and its error goes on
+                short = next(rest, None)
+                if short is None:
+                    raise
+                break
+            # outside the try, so an IndexError of the walk's own is not taken for a short history
             hit = walked[key] = (h, _evaluate(formula, h, memo))
-        yield h, hit[1]
+            yield hit[1]
+        yield _evaluate(formula, short, memo)
 
 
 def holds_surely(formula: Proposition, histories) -> bool:
-    """True iff the formula holds in every history given; ``run`` gives none of probability 0."""
-    return all(value for _, value in _truth_values(formula, histories, {}))
+    """True iff the formula holds in every history given; ``run`` gives none of probability 0.
+
+    No history after the first false one is read."""
+    return all(_truth_values(formula, histories, {}))
 
 
 def prob_of(formula: Proposition, histories):
     """Exact probability mass of the histories where the formula is true.
 
-    Numerators are added once per denominator, then the few sums as Rationals: a gcd per
-    denominator, not per history.  The result is still exact and in lowest terms.
+    ``compress`` picks the true histories' probabilities from a ``tee`` of the input, beside
+    ``_truth_values``' lazy walk, so an iterator is read once.  Numerators are added once per
+    denominator, then the few sums as Rationals: a gcd per denominator, not per history.  The
+    result is still exact and in lowest terms.
     """
+    histories, again = tee(histories)
     numerators = {}  # denominator -> sum of the true histories' numerators over it
-    for h, value in _truth_values(formula, histories, {}):
-        if value:
-            p = h.probability
-            numerators[p.denominator] = numerators.get(p.denominator, 0) + p.numerator
+    for p in compress(map(attrgetter("probability"), again), _truth_values(formula, histories, {})):
+        numerators[p.denominator] = numerators.get(p.denominator, 0) + p.numerator
     return sum((Rational(n, d) for d, n in numerators.items()), Rational(0))
 
 
@@ -462,7 +492,7 @@ def check_distributivity(
 ) -> DistributivityVerdict:
     memo = {}
     histories = tuple(histories)  # both sides walk it, so an iterator is read once
-    lvals, rvals = (tuple(v for _, v in _truth_values(f, histories, memo)) for f in (left, right))
+    lvals, rvals = (tuple(_truth_values(f, histories, memo)) for f in (left, right))
     return DistributivityVerdict(
         left_true_in_all=all(lvals),
         left_false_in_all=not any(lvals),

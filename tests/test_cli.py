@@ -375,6 +375,38 @@ class TestInputBounds:
         message = f"{flag} {value} is below the minimum of 1"
         assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
 
+    @pytest.mark.parametrize("statement", ["x = x", "0 <= x", "x & !x = 0"])
+    def test_subspace_dim_one_names_the_flag_for_a_statement_with_variables(
+        self, capsys, statement
+    ):
+        # the library's own message (need space_dim >= 2 to sample ...) names no flag
+        argv = ["check", statement, "--structure", "subspace", "--dim", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        message = "--dim 1 is below the minimum of 2 for --structure subspace"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
+
+    def test_subspace_dim_one_names_the_flag_before_any_statement_of_a_file(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "laws.txt"
+        path.write_text("0 = 1\nx = x\n")
+        argv = ["check", "--file", str(path), "--structure", "subspace", "--dim", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        message = "--dim 1 is below the minimum of 2 for --structure subspace"
+        assert (code, out, err) == (2, "", f"ortholab: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "statement, holds", [("0 = 0", True), ("1 = 0 | 1", True), ("0 = 1", False)]
+    )
+    def test_subspace_dim_one_still_answers_a_statement_without_variables(
+        self, capsys, statement, holds
+    ):
+        argv = ["check", statement, "--structure", "subspace", "--dim", "1"]
+        code, report = run_json(capsys, *argv)
+        results = report["results"]
+        assert (code, results["mode"], results["trials"]) == (0 if holds else 1, "exhaustive", 1)
+        assert results["structure"]["space_dim"] == 1
+
     def test_the_bound_itself_is_accepted(self, capsys, tmp_path):
         code, out, _ = self._ortho(capsys, tmp_path, MAX_INPUT_DIM)
         assert code == 0 and json.loads(out)["results"]["result"]["space_dim"] == MAX_INPUT_DIM

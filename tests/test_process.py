@@ -918,3 +918,158 @@ class TestOneWalkPerEntryTuple:
         assert prob_of(formula, (histories[2], short)) == HALF
         with pytest.raises(ValueError, match="out of range"):
             prob_of(~y_up & x_up, (histories[1], short))
+
+
+# ---------------------------------------------------------------------------
+# One-pass inputs.  The queries read an iterator once: the keys' columns and
+# the walk share it, a history too short for a stage is walked on its own and
+# the columns restart after it, and holds_surely reads nothing after the first
+# false history.  Every answer, or error, must be the one the same histories
+# give as a tuple and the one a plain evaluation of each history gives.
+# ---------------------------------------------------------------------------
+
+
+def _answer(query, *args):
+    """A query's answer, or the type and message of the error it raises."""
+    try:
+        return query(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _assert_one_pass_answers(left, right, histories):
+    """Each query answers, or fails, on an iterator as on the tuple and as plain evaluation
+    of each history in order does, left side first."""
+
+    def mass():
+        return sum((h.probability for h in histories if _plain_truth(left, h)), Fraction(0))
+
+    def pairs():
+        lvals = tuple(_plain_truth(left, h) for h in histories)
+        return tuple(zip(lvals, (_plain_truth(right, h) for h in histories)))
+
+    want = _answer(mass)
+    surely = _answer(lambda: all(_plain_truth(left, h) for h in histories))
+    verdicts = []
+    for read in (tuple, iter):
+        got = _answer(prob_of, left, read(histories))
+        assert got == want and type(got) is type(want)
+        assert _answer(holds_surely, left, read(histories)) == surely
+        verdicts.append(_answer(check_distributivity, left, right, read(histories)))
+    assert verdicts[0] == verdicts[1]
+    assert getattr(verdicts[0], "per_history", verdicts[0]) == _answer(pairs)
+
+
+def _with_short_history(histories, at, *cuts):
+    """``histories`` with one more per cut, the second history's first ``cut`` entries, put
+    in order at index ``at``."""
+    short = tuple(History(HALF, histories[1].trace[:cut]) for cut in cuts)
+    return histories[:at] + short + histories[at:]
+
+
+def _one_pass_cases():
+    """Run output and the crossed histories, each with a history too short for stage 1, one
+    too short for stage 2, and both in a row, at the start, in the middle and at the end."""
+    for full in (run(THREE_MEASUREMENTS), _crossed_histories()):
+        for at in (0, len(full) // 2, len(full)):
+            for cuts in ((1,), (2,), (1, 2)):
+                yield full, _with_short_history(full, at, *cuts)
+
+
+def _formulas_over_0_1_and_3_stages():
+    """The first four never read a stage a short history lacks; the rest may."""
+    x_up = InSubspace(span([X_UP], 2))
+    y_up = InSubspace(span([Y_UP], 2))
+    return (
+        ALWAYS,
+        Atom(x_up, 0),
+        NEVER & Atom(x_up, 2),
+        Atom(x_up, 0) | ~Atom(y_up, 1) | Atom(x_up, 2),
+        Atom(y_up, 1),
+        Atom(x_up, 2),
+        ~Atom(y_up, 1) | (Atom(x_up, 2) & Atom(x_up, 0)),
+    )
+
+
+def _expected_walks(histories, stages):
+    """One walk per distinct entry tuple among the histories long enough, one per other."""
+    whole = [h for h in histories if all(k < len(h.trace) for k in stages)]
+    keys = {tuple(id(h.trace[k]) for k in stages) for h in whole}
+    return len(keys) + len(histories) - len(whole)
+
+
+class TestOnePassInputs:
+    def test_formulas_over_0_1_and_3_stages_answer_as_on_a_tuple(self):
+        formulas = _formulas_over_0_1_and_3_stages()
+        for _, histories in _one_pass_cases():
+            for left in formulas:
+                for right in formulas:
+                    _assert_one_pass_answers(left, right, histories)
+
+    def test_random_formulas_answer_as_on_a_tuple(self):
+        tests = _quantum_tests()
+        for n, (full, histories) in enumerate(_one_pass_cases()):
+            atoms = [Atom(t, k) for t in tests for k in range(len(full[0].trace))]
+            for trial in range(12):
+                rng = substream(f"one-pass/{n}", trial)
+                left = _random_formula(rng, atoms, 3)
+                right = _random_formula(rng, atoms, 3)
+                _assert_one_pass_answers(left, right, histories)
+
+    def test_walks_per_distinct_entry_tuple_on_both_sides_of_a_short_history(
+        self, monkeypatch
+    ):
+        walks = []
+
+        def counting(node, leaf):
+            walks.append(node)
+            return original(node, leaf)
+
+        original = process.truth
+        monkeypatch.setattr(process, "truth", counting)
+        for _, histories in _one_pass_cases():
+            for formula in _formulas_over_0_1_and_3_stages()[:4]:
+                expected = _expected_walks(histories, process.formula_stages(formula))
+                for given in (histories, iter(histories)):
+                    walks.clear()
+                    prob_of(formula, given)
+                    assert len(walks) == expected
+                walks.clear()
+                check_distributivity(formula, ~formula, iter(histories))
+                assert len(walks) == 2 * expected
+        # a short history with all of a formula's stages shares their keys, not a walk; it
+        # copies the y+ history's first two entries, so y+ holds in it and its 1/2 is counted
+        full = run(THREE_MEASUREMENTS)
+        walks.clear()
+        assert prob_of(Atom(InSubspace(span([Y_UP], 2)), 1), _with_short_history(full, 3, 2)) == 1
+        assert len(walks) == _expected_walks(full, {1})
+
+    def test_an_index_error_of_the_input_itself_passes_through(self):
+        histories = run(THREE_MEASUREMENTS)
+
+        def feed():
+            yield from histories[:2]
+            raise IndexError("the input's own")
+
+        formula = Atom(InSubspace(span([X_UP], 2)), 0)
+        for query in (prob_of, holds_surely):
+            with pytest.raises(IndexError, match="the input's own"):
+                query(formula, feed())
+        with pytest.raises(IndexError, match="the input's own"):
+            check_distributivity(formula, formula, feed())
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_a_generator_of_run_output_is_read_up_to_the_first_false_history(self, index):
+        formula = _formulas_over_0_1_and_3_stages()[index]
+        histories = run(THREE_MEASUREMENTS)
+        values = [_plain_truth(formula, h) for h in histories]
+        taken = []
+
+        def feed():
+            for h in histories:
+                taken.append(h)
+                yield h
+
+        assert holds_surely(formula, feed()) == all(values)
+        read = values.index(False) + 1 if False in values else len(histories)
+        assert taken == list(histories[:read])

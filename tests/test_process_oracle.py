@@ -8,7 +8,8 @@ the same history order and probabilities of the same type, numerator and
 denominator, or raise the same error.  On both sets of histories ``prob_of``
 and ``holds_surely`` must answer as the oracle's plain queries do, ``prob_of``
 with the same type, numerator and denominator (classical chains give mixed
-denominators), and ``check_distributivity`` must answer the same.
+denominators), and ``check_distributivity`` must answer the same, whether
+the histories come as a tuple or as a one-pass iterator.
 """
 
 import json
@@ -164,11 +165,17 @@ def _assert_same_as_oracle(stages, left, right):
     assert _probabilities(new) == _probabilities(old)
     for formula in (left, right):
         want = process_oracle.prob_of(formula, old)
+        surely = process_oracle.holds_surely(formula, old)
         for histories in (new, old):
             got = prob_of(formula, histories)
             assert _exact(got) == _exact(want)
-            assert holds_surely(formula, histories) == process_oracle.holds_surely(formula, old)
-    assert check_distributivity(left, right, new) == check_distributivity(left, right, old)
+            assert _exact(prob_of(formula, iter(histories))) == _exact(want)
+            assert holds_surely(formula, histories) == surely
+            assert holds_surely(formula, iter(histories)) == surely
+    verdict = check_distributivity(left, right, old)
+    assert check_distributivity(left, right, new) == verdict
+    for histories in (new, old):
+        assert check_distributivity(left, right, iter(histories)) == verdict
 
 
 @SETTINGS
