@@ -16,6 +16,7 @@ from .linalg import (
     Vector,
     _JsonAt,
     _complement_rows,
+    _echelon,
     _matrix,
     _mirror,
     _reduce,
@@ -48,8 +49,8 @@ RATIONAL_REAL = "rational-real"
 # square or faster (README, "Input bounds").
 MAX_INPUT_DIM = 64
 # The most random assignments `check --trials` may ask for: ten times the
-# default.  One subspace trial takes from 0.07 ms at dimension 2 to 0.7 s at
-# 64, so the bound keeps a check at the smallest dimensions under a second.
+# default.  One subspace trial takes from 0.1 ms at dimension 2 to 0.45 s at
+# 64, so the bound keeps a check at the smallest dimensions about a second.
 MAX_TRIALS = 10_000
 
 
@@ -128,7 +129,7 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         """Exact membership test (the zero vector belongs to every subspace)."""
         stacked = [list(row) for row in self._rows] + [list(_in_space(v, self.space_dim).parts)]
-        return len(_reduce(stacked, self.space_dim)) == self.dim
+        return len(_echelon(stacked, self.space_dim)) == self.dim
 
     def __and__(self, other):
         return meet(self, other)
@@ -213,7 +214,7 @@ def leq(s: Subspace, t: Subspace) -> bool:
     """Inclusion order: true iff every basis row of ``s`` lies in ``t``."""
     _same_space(s, t)
     stacked = [list(row) for row in s._rows + t._rows]
-    return len(_reduce(stacked, s.space_dim)) == t.dim
+    return len(_echelon(stacked, s.space_dim)) == t.dim
 
 
 def check_orthomodular(s: Subspace, t: Subspace) -> bool:

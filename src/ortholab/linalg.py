@@ -613,12 +613,24 @@ def _apply(rows, x) -> list:
 # a Vector or each row of a Matrix holds them; their common denominator
 # does not change the row space, so it is dropped.  A pivot row is
 # multiplied by the conjugate of its pivot, so every pivot is a positive
-# integer p, and a step is ``row <- p*row - f*prow``; each row it changes
-# is divided by the gcd of its parts.  What _reduce leaves is the integer
-# RREF: each nonzero row is its RREF row times the least positive integer
-# that makes every entry a Gaussian integer, and that integer is its pivot
-# entry.  That form is unique, so the lattice layer keeps subspaces in it
-# or in its mirror image (_complement_rows), which is unique as well.
+# integer p, and a step (_clear) is ``row <- p*row - f*prow``; each row it
+# changes is divided by the gcd of its parts.
+#
+# _reduce runs two passes.  The forward pass (_echelon) finds the pivots
+# and clears only the rows below each one; rank and inclusion need no
+# more.  When it finds a pivot in every column, the integer RREF is the
+# identity with zero rows after it, so the pass stops at that last pivot
+# and the identity is written.  Otherwise the back pass clears the rows
+# above each pivot in Gauss-Jordan's order, pivot 1 first, each with the
+# row the forward pass left, which is the row Gauss-Jordan clears with, so
+# every integer is the one a single Gauss-Jordan pass computes.
+#
+# What _reduce leaves is the integer RREF: each nonzero row is its RREF
+# row times the least positive integer that makes every entry a Gaussian
+# integer, and that integer is its pivot entry.  That form is unique, so
+# the lattice layer keeps subspaces in it or in its mirror image
+# (_complement_rows), which is unique as well, and reads a complement off
+# either one with the conjugation folded into the read-off (_null_rows).
 # A Matrix returned (_matrix) divides each row by its pivot, over the lcm
 # of the pivots; no Scalar is built until its ``rows`` are read.
 # ---------------------------------------------------------------------------
@@ -629,8 +641,23 @@ def _primitive(row) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _reduce(rows, ncols) -> list:
-    """Reduce flattened integer rows to integer RREF in place; returns the pivot columns."""
+def _clear(row, prow, cc, width) -> list:
+    """``row`` with its entry at part ``cc`` cleared by the pivot row ``prow``, made primitive."""
+    pivot, fa, fb = prow[cc], row[cc], row[cc + 1]
+    g = gcd(pivot, fa, fb)
+    p, fa, fb = pivot // g, fa // g, fb // g
+    out = []
+    for j in range(0, width, 2):
+        x, y = prow[j], prow[j + 1]
+        out.append(p * row[j] - fa * x + fb * y)
+        out.append(p * row[j + 1] - fa * y - fb * x)
+    return _primitive(out)
+
+
+def _echelon(rows, ncols) -> list:
+    """The forward pass of ``_reduce``: the pivot columns of flattened integer rows, found in
+    place by normalising each pivot row and clearing the rows below it.  At a pivot in every
+    column it stops there, before that last pivot row is moved up or normalised."""
     nrows = len(rows)
     width = 2 * ncols
     pivot_cols = []
@@ -642,6 +669,9 @@ def _reduce(rows, ncols) -> list:
                 break
         else:
             continue
+        pivot_cols.append(c)
+        if r == ncols - 1:  # full rank: the caller needs the count, or the identity
+            break
         rows[r], rows[k] = rows[k], rows[r]
         prow = rows[r]
         a, b = prow[cc], prow[cc + 1]
@@ -653,43 +683,53 @@ def _reduce(rows, ncols) -> list:
         elif a < 0:
             prow = [-x for x in prow]
         prow = rows[r] = _primitive(prow)
-        pivot = prow[cc]
-        for k in range(nrows):
-            row = rows[k]
-            fa, fb = row[cc], row[cc + 1]
-            if k == r or not (fa or fb):
-                continue
-            g = gcd(pivot, fa, fb)
-            p, fa, fb = pivot // g, fa // g, fb // g
-            out = []
-            for j in range(0, width, 2):
-                x, y = prow[j], prow[j + 1]
-                out.append(p * row[j] - fa * x + fb * y)
-                out.append(p * row[j + 1] - fa * y - fb * x)
-            rows[k] = _primitive(out)
-        pivot_cols.append(c)
         r += 1
         if r == nrows:
             break
+        for k in range(r, nrows):
+            row = rows[k]
+            if row[cc] or row[cc + 1]:
+                rows[k] = _clear(row, prow, cc, width)
+    return pivot_cols
+
+
+def _reduce(rows, ncols) -> list:
+    """Reduce flattened integer rows to integer RREF in place; returns the pivot columns."""
+    pivot_cols = _echelon(rows, ncols)
+    width = 2 * ncols
+    if len(pivot_cols) == ncols:  # the identity, then zero rows
+        for k in range(len(rows)):
+            rows[k] = [0] * width
+        for k in range(ncols):
+            rows[k][2 * k] = 1
+        return pivot_cols
+    for i in range(1, len(pivot_cols)):  # the back pass: pivot i clears the rows above it
+        prow, cc = rows[i], 2 * pivot_cols[i]
+        for k in range(i):
+            row = rows[k]
+            if row[cc] or row[cc + 1]:
+                rows[k] = _clear(row, prow, cc, width)
     return pivot_cols
 
 
 def _null_rows(rows, pivot_cols, ncols) -> list:
-    """Basis of ``{x : rows @ x = 0}`` for ``rows`` in either canonical form (``_complement_rows``)
-    with pivots in ``pivot_cols``: read off, not reduced, one primitive row per free column."""
+    """Basis of the orthogonal complement of ``rows``, ``{x : <row, x> = 0 for each row}``, for
+    ``rows`` in either canonical form (``_complement_rows``) with pivots in ``pivot_cols``: read
+    off, not reduced, one primitive row per free column.  It is the nullspace of the conjugated
+    rows; their pivots are real, so the conjugation is only the sign of each imaginary part read."""
     pivots = [row[2 * c] for row, c in zip(rows, pivot_cols)]
     scale = lcm(*pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        # x[free] = 1 and x[c] = -row[free] / pivot, all times the lcm of the pivots
+        # x[free] = 1 and x[c] = -conj(row[free]) / pivot, all times the lcm of the pivots
         out = [0] * (2 * ncols)
         out[2 * free] = scale
         for row, c, p in zip(rows, pivot_cols, pivots):
             q = scale // p
             out[2 * c] = -q * row[2 * free]
-            out[2 * c + 1] = -q * row[2 * free + 1]
+            out[2 * c + 1] = q * row[2 * free + 1]
         basis.append(_primitive(out))
     return basis
 
@@ -706,15 +746,18 @@ def _complement_rows(rows, ncols, right=False) -> list:
 
     The left form is the integer RREF.  The right form, with ``right``, is its mirror image
     (``_mirror`` of the integer RREF of the mirrored rows): each pivot is its row's rightmost
-    nonzero entry and the pivot columns descend.  The complement is the nullspace of the
-    conjugated rows, which stay canonical, since their pivots are real, so it is read straight
-    off.  A row read off has its pivot at a free column and its other entries at pivot columns
-    of ``rows`` before it (left form) or after it (right form): it is in the other form.
+    nonzero entry and the pivot columns descend.  A pivot is real, so it is the first nonzero
+    part of its row (left form) or the last (right form), and the complement is read straight
+    off the rows (``_null_rows``).  A row read off has its pivot at a free column and its other
+    entries at pivot columns of ``rows`` before it (left form) or after it (right form): it is
+    in the other form.
     """
-    conj = [_conj(row) for row in rows]
-    find = max if right else min
-    pivot_cols = [find(j for j, x in enumerate(row) if x) // 2 for row in rows]
-    basis = _null_rows(conj, pivot_cols, ncols)
+    if right:  # each pivot is the first nonzero part of its row reversed
+        ends = [row[::-1] for row in rows]
+        pivot_cols = [ncols - 1 - end.index(next(filter(None, end))) // 2 for end in ends]
+    else:
+        pivot_cols = [row.index(next(filter(None, row))) // 2 for row in rows]
+    basis = _null_rows(rows, pivot_cols, ncols)
     return basis if right else basis[::-1]
 
 
@@ -733,14 +776,15 @@ def rref(m: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce([list(row) for row in m.parts], m.ncols))
+    return len(_echelon([list(row) for row in m.parts], m.ncols))
 
 
 def nullspace(m: Matrix) -> Matrix:
     """RREF basis (as rows) of ``{x : m @ x = 0}``; has ncols - rank rows."""
     rows = [list(row) for row in m.parts]
     pivot_cols = _reduce(rows, m.ncols)
-    basis = _null_rows(rows, pivot_cols, m.ncols)
+    # {x : m @ x = 0} is the orthogonal complement of m's conjugated rows
+    basis = _null_rows([_conj(row) for row in rows[: len(pivot_cols)]], pivot_cols, m.ncols)
     _reduce(basis, m.ncols)
     return _matrix(basis, m.ncols)
 
