@@ -69,26 +69,28 @@ class Subspace:
     columns descend.  It is unique too, and it is what the complement of an
     integer RREF reads off, so ``ortho`` flips the form without elimination
     and a meet costs the one reduction of its join.  ``rows`` reduces a
-    right form on each read, so that a Subspace never changes.
+    right form on each read, so that a Subspace never changes; ``hash`` reads
+    ``rows`` on first use and keeps the value.
 
     ``Subspace(space_dim, basis)`` is the row space of ``basis``: any
     spanning rows, reduced to the canonical form on construction.
     """
 
-    __slots__ = ("space_dim", "_rows", "_right")
+    __slots__ = ("space_dim", "_rows", "_right", "_hash")
 
     def __init__(self, space_dim: int, basis: Matrix):
         _check_space_dim(space_dim)
         if basis.ncols != space_dim:
             raise ValueError(f"basis width {basis.ncols} != space_dim {space_dim}")
         s = _canonical([list(row) for row in basis.parts], space_dim)
-        self.space_dim, self._rows, self._right = space_dim, s._rows, False
+        self.space_dim, self._rows, self._right, self._hash = space_dim, s._rows, False, None
 
     @classmethod
     def _from_rows(cls, space_dim: int, rows, right=False) -> "Subspace":
         # rows: the subspace's canonical integer rows, in the right form if right
         s = cls.__new__(cls)
         s.space_dim, s._rows, s._right = space_dim, tuple(tuple(row) for row in rows), right
+        s._hash = None
         return s
 
     @classmethod
@@ -151,7 +153,9 @@ class Subspace:
         return self.space_dim == other.space_dim and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.space_dim, self.rows))
+        if self._hash is None:
+            self._hash = hash((self.space_dim, self.rows))
+        return self._hash
 
     def __repr__(self):
         rows = "; ".join(", ".join(str(e) for e in row) for row in self.basis.rows)

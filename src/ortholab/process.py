@@ -239,9 +239,10 @@ def run(stages) -> tuple:
     """Enumerate all branches; histories in depth-first outcome order.
 
     The walk keeps an explicit stack, so a process may have any number of
-    stages, and starts below stage 0, the preparation's one branch.  Each
-    distinct (stage, state) is worked out once, and within a run equal
-    TraceEntry objects are one object, shared by every history.  A quantum
+    stages, and starts below stage 0, the preparation's one branch.  Within a
+    run equal TraceEntry objects are one object, shared by every history, and
+    each stage is worked out once per distinct entry before it, looked up by
+    that entry's identity, so a state is hashed only when it is new.  A quantum
     history's Born weight, |C psi|^2 / |psi|^2 for the chain C of projectors
     and unitaries that made its leaf (Lüders' rule in sequence), is formed
     once per last-stage branch; a classical one is its kernel weights' product.
@@ -256,7 +257,9 @@ def run(stages) -> tuple:
         return (History(Rational(1), (TraceEntry(0, "-", prepared),)),)
     histories = []
     trace = []  # the entries of the branch being walked, one per stage so far
-    known = {}  # (stage, state[, condition applies]) -> [(entry, weight)]
+    # id(entry for the stage before)[, condition applies] -> [(entry, weight)]: `entries` pins
+    # each entry, and one stage's outcomes never share a nonzero state (orthogonal projectors)
+    known = {}
     entries = {}  # (stage, outcome, state) -> its one TraceEntry
     products = {}  # (id(matrix), state) -> matrix @ state; the stages pin each matrix
 
@@ -281,9 +284,9 @@ def run(stages) -> tuple:
         del trace[idx - 1 :]
         trace.append(entry)
         st, state = stages[idx], entry.state
-        key = (idx, state)
+        key = id(entry)
         if isinstance(st, ConditionalUnitary):
-            key += (trace[st.condition.stage].outcome == st.condition.label,)
+            key = (key, trace[st.condition.stage].outcome == st.condition.label)
         children = known.get(key)
         if children is None:
             children = known[key] = []  # in outcome order
@@ -294,7 +297,7 @@ def run(stages) -> tuple:
                     if not post.is_zero():
                         children.append(quantum_child(idx, out.label, post))
             elif isinstance(st, ConditionalUnitary):
-                after = apply(st.matrix, state) if key[2] else state
+                after = apply(st.matrix, state) if key[1] else state
                 children.append(quantum_child(idx, "-", after))
             else:  # a ClassicalStep, the only classical stage after the preparation
                 row = st.kernel.get(state)

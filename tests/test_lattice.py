@@ -7,6 +7,7 @@ from ortholab import (
     distributes,
     find_nondistributive_witness,
     join,
+    lattice,
     leq,
     meet,
     ortho,
@@ -55,6 +56,16 @@ class TestConstructor:
     def test_width_must_match(self):
         with pytest.raises(ValueError, match="basis width"):
             Subspace(3, Matrix([[1, 0]]))
+
+    def test_a_right_form_is_reduced_once_for_its_hash(self, monkeypatch):
+        right = ortho(span([vec(1, 1, 0)], 3))
+        assert right._right
+        calls, original = [], lattice._reduce
+        monkeypatch.setattr(lattice, "_reduce", lambda *a: calls.append(a) or original(*a))
+        first = hash(right)
+        assert hash(right) == first and len(calls) <= 1
+        monkeypatch.undo()
+        assert first == hash(Subspace(3, right.basis))
 
     @pytest.mark.parametrize("space_dim", [0, -1, -3])
     def test_space_dim_below_one_rejected(self, space_dim):

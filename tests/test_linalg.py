@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from fractions import Fraction
 from math import lcm
@@ -23,6 +25,7 @@ from ortholab.linalg import (
     rref,
     vec,
     vector_from_json,
+    vector_to_json,
 )
 from ortholab.lattice import substream
 from ortholab.spin import SPIN_Y
@@ -168,6 +171,34 @@ class TestInner:
         assert norm.im == 0
         assert norm.re >= 0
         assert (norm.re == 0) == v.is_zero()
+
+
+class TestCachedHash:
+    @given(st.lists(scalars, min_size=1, max_size=3), st.data())
+    def test_the_kept_hash_is_the_integer_form_hash_on_every_path(self, entries, data):
+        n = len(entries)
+        v, zero = Vector(entries), Vector([0] * n)
+        w = Vector(data.draw(st.lists(scalars, min_size=n, max_size=n)))
+        m = Matrix([data.draw(st.lists(scalars, min_size=n, max_size=n)) for _ in range(n)])
+        same = [  # v again, by every path that builds a Vector
+            vec(*entries),
+            v.scale(1),
+            v + zero,
+            v - zero,
+            Matrix.identity(n) @ v,
+            Matrix([entries]).row(0),
+            Matrix([[e] for e in entries]).column(0),
+            vector_from_json(vector_to_json(v)),
+        ]
+        other = [v.scale(data.draw(scalars)), v + w, v - w, m @ v, m.row(0), m.column(n - 1)]
+        assert all(u == v and hash(u) == hash(v) for u in same)
+        for u in [v, *same, *other]:
+            h = hash(u)  # the arithmetic paths have not built entries yet
+            assert h == hash((u.den, u.parts)) == u._hash
+            assert u.entries and hash(u) == h
+            assert Vector(u.entries) == u and hash(Vector(u.entries)) == h
+            for twin in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+                assert twin == u and hash(twin) == h == hash((twin.den, twin.parts))
 
 
 def _random_matrix(rng, nrows, ncols):

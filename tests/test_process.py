@@ -4,7 +4,7 @@ import pytest
 
 from ortholab import process, span, vec
 from ortholab.lattice import substream
-from ortholab.linalg import Matrix, Rational, inner
+from ortholab.linalg import Matrix, Rational, Vector, inner
 from ortholab.process import (
     Atom,
     ClassicalPrepare,
@@ -240,6 +240,14 @@ class TestSharedWork:
         assert {h.probability for h in histories} == {Fraction(1, 2**10)}
         assert len(calls) == len(set(calls))
         assert len(calls) < 200  # applying them on every branch takes 2,047 calls
+
+    def test_the_walk_hashes_no_state_per_frame(self, monkeypatch):
+        calls, original = [], Vector.__hash__
+        monkeypatch.setattr(Vector, "__hash__", lambda v: calls.append(v) or original(v))
+        histories = run(_alternating(10))
+        assert len(histories) == 2**10
+        # a frame is looked up by its entry's identity: only new states are hashed
+        assert len(calls) < len(histories)
 
     def test_equal_entries_are_one_object(self):
         x, z = spin_observable("x"), spin_observable("z")
