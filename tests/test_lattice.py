@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from ortholab import (
@@ -139,6 +141,12 @@ class TestMeetJoinOrtho:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             meet(X_AXIS, Subspace.zero(3))
+
+    @pytest.mark.parametrize("op", [operator.and_, operator.or_, operator.le], ids=["&", "|", "<="])
+    @pytest.mark.parametrize("other", [3, None, vec(1, 0)], ids=["int", "None", "Vector"])
+    def test_an_operator_with_a_non_subspace_raises_type_error(self, op, other):
+        with pytest.raises(TypeError):
+            op(X_AXIS, other)
 
     @pytest.mark.parametrize(
         "call",
