@@ -49,7 +49,7 @@ RATIONAL_REAL = "rational-real"
 # square or faster (README, "Input bounds").
 MAX_INPUT_DIM = 64
 # The most random assignments `check --trials` may ask for: ten times the
-# default.  One subspace trial takes from 0.05 ms at dimension 2 to 0.35 s at
+# default.  One subspace trial takes from 0.06 ms at dimension 2 to 0.56 s at
 # 64, so the bound keeps a check at the smallest dimensions about a second.
 MAX_TRIALS = 10_000
 

@@ -616,8 +616,11 @@ def _apply(rows, x) -> list:
 # a Vector or each row of a Matrix holds them; their common denominator
 # does not change the row space, so it is dropped.  A pivot row is
 # multiplied by the conjugate of its pivot, so every pivot is a positive
-# integer p, and a step (_clear) is ``row <- p*row - f*prow``; each row it
-# changes is divided by the gcd of its parts.
+# integer p, and a step (_clear) is ``row <- p*row - f*prow``.  While p fits
+# in two CPython digits, whose products cost about what one-digit ones do,
+# the row keeps its content (the gcd of its parts); a wider p divides it out,
+# so integers stay near their primitive size.  A row is made primitive when
+# it becomes a pivot row (_echelon), and once after the back pass (_reduce).
 #
 # _reduce runs two passes.  The forward pass (_echelon) finds the pivots
 # and clears only the rows below each one; rank and inclusion need no
@@ -644,8 +647,12 @@ def _primitive(row) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
+_WIDE = 2 * sys.int_info.bits_per_digit  # bits in two CPython digits
+
+
 def _clear(row, prow, cc, width) -> list:
-    """``row`` with its entry at part ``cc`` cleared by the pivot row ``prow``, made primitive."""
+    """``row`` with its entry at part ``cc`` cleared by the pivot row ``prow``; made primitive
+    only when its multiplier is wider than ``_WIDE`` bits, else left with its content."""
     pivot, fa, fb = prow[cc], row[cc], row[cc + 1]
     g = gcd(pivot, fa, fb)
     p, fa, fb = pivot // g, fa // g, fb // g
@@ -654,7 +661,7 @@ def _clear(row, prow, cc, width) -> list:
         x, y = prow[j], prow[j + 1]
         out.append(p * row[j] - fa * x + fb * y)
         out.append(p * row[j + 1] - fa * y - fb * x)
-    return _primitive(out)
+    return _primitive(out) if p >> _WIDE else out
 
 
 def _echelon(rows, ncols) -> list:
@@ -697,7 +704,8 @@ def _echelon(rows, ncols) -> list:
 
 
 def _reduce(rows, ncols) -> list:
-    """Reduce flattened integer rows to integer RREF in place; returns the pivot columns."""
+    """Reduce flattened integer rows to integer RREF in place; returns the pivot columns.  The
+    back pass leaves rows above the last pivot with their content, divided out at the end."""
     pivot_cols = _echelon(rows, ncols)
     width = 2 * ncols
     if len(pivot_cols) == ncols:  # the identity, then zero rows
@@ -712,6 +720,8 @@ def _reduce(rows, ncols) -> list:
             row = rows[k]
             if row[cc] or row[cc + 1]:
                 rows[k] = _clear(row, prow, cc, width)
+    for k in range(len(pivot_cols) - 1):
+        rows[k] = _primitive(rows[k])
     return pivot_cols
 
 

@@ -263,8 +263,11 @@ def run(stages) -> tuple:
     entries = {}  # (stage, outcome, state) -> its one TraceEntry
     products = {}  # (id(matrix), state) -> matrix @ state; the stages pin each matrix
 
-    def entry_of(*fields):  # equal entries are one object
-        return entries.setdefault(fields, TraceEntry(*fields))
+    def entry_of(*fields):  # equal entries are one object, built once
+        entry = entries.get(fields)
+        if entry is None:
+            entry = entries[fields] = TraceEntry(*fields)
+        return entry
 
     def apply(matrix, state):  # each Matrix @ Vector runs once per matrix and state
         key = (id(matrix), state)

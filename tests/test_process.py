@@ -264,6 +264,17 @@ class TestSharedWork:
                 for h in histories:
                     assert seen.setdefault(h.trace[k], h.trace[k]) is h.trace[k]
 
+    def test_each_entry_is_built_once(self, monkeypatch):
+        calls, original = [], TraceEntry.__init__
+        monkeypatch.setattr(TraceEntry, "__init__", lambda *a: calls.append(a) or original(*a))
+        x, z = spin_observable("x"), spin_observable("z")
+        repeated = (Prepare(Z_UP), Measure(x), Measure(z), Measure(x))
+        for stages in (repeated, THREE_MEASUREMENTS, _alternating(6), hatch_demo()[0]):
+            calls.clear()
+            histories = run(stages)
+            # equal entries are one object, so the distinct objects are the distinct entries
+            assert len(calls) == len({id(entry) for h in histories for entry in h.trace})
+
 
 class TestLastStageHistories:
     def test_siblings_come_in_outcome_order_and_share_their_prefix(self):

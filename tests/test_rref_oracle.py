@@ -10,13 +10,19 @@ it in one pass over conjugated copies.  On seeded integer rows of dimension
 rows and repeated rows, wide, square, tall full-rank and tall rank-deficient
 stacks, the rows left in place, the pivot columns, both complement forms
 and every rank answer must be the oracle's.  The saved work is pinned by
-counting the row updates (``linalg._clear``).
+counting the row updates (``linalg._clear``).  A row update keeps its
+row's content after a narrow multiplier, so stacks whose rows share a wide
+content, reductions with narrow and wide multipliers, and tall stacks
+cleared many times must reduce like the oracle too, and the largest part a
+row update returns must stay near the eager kernel's.
 """
+
+from math import gcd
 
 import pytest
 
 import rref_oracle as oracle
-from ortholab import Subspace, leq, linalg
+from ortholab import Subspace, dsl, leq, linalg
 from ortholab.lattice import substream
 from ortholab.linalg import (
     _complement_rows,
@@ -193,3 +199,106 @@ def test_rank_queries_run_no_back_pass(monkeypatch, ask):
     assert ask()
     assert calls and not any(back for _, back in calls)
 
+
+
+# Row updates keep a row's content while its multiplier fits in two CPython digits
+# (``linalg._WIDE`` bits), and ``_reduce`` divides it out once after its back pass
+
+
+def _reduced_like_the_oracle(rows, ncols) -> list:
+    """Reduce a copy of ``rows``; its rows and pivot columns must be the oracle's, and each row
+    it returns primitive with a positive real pivot, nothing before it, or zero after the rank."""
+    (ours, pivots), (theirs, expected) = _both(rows, ncols)
+    assert ours == theirs
+    assert pivots == expected
+    for row, c in zip(ours, pivots):
+        assert gcd(*row) == 1 and row[2 * c] > 0 and row[2 * c + 1] == 0 and not any(row[: 2 * c])
+    assert not any(x for row in ours[len(pivots) :] for x in row)
+    return pivots
+
+
+def _multiplier_widths(monkeypatch) -> list:
+    """Each row update's multiplier, as whether it is wider than ``_WIDE`` bits."""
+    wide, clear = [], linalg._clear
+
+    def recorded(row, prow, cc, width):
+        pivot = prow[cc]
+        wide.append(bool(pivot // gcd(pivot, row[cc], row[cc + 1]) >> linalg._WIDE))
+        return clear(row, prow, cc, width)
+
+    monkeypatch.setattr(linalg, "_clear", recorded)
+    return wide
+
+
+@pytest.mark.parametrize("content", [3 * 2**61, 7**40, 2**90 - 1])
+@pytest.mark.parametrize("ncols", (2, 3, 5, 8, 16))
+def test_rows_sharing_a_content_past_two_digits_reduce_like_the_oracle(ncols, content):
+    for _, rows in _cases(ncols, 4):
+        scaled = [[content * x for x in row] for row in rows]
+        assert _reduced_like_the_oracle(scaled, ncols) == _reduced_like_the_oracle(rows, ncols)
+        # each row its own content as well: the row's index times the shared one
+        scaled = [[(k + 1) * content * x for x in row] for k, row in enumerate(rows)]
+        _reduced_like_the_oracle(scaled, ncols)
+
+
+@pytest.mark.parametrize("ncols", range(3, 9))
+def test_narrow_and_wide_multipliers_in_one_reduction(monkeypatch, ncols):
+    wide = _multiplier_widths(monkeypatch)
+    for trial in range(6):
+        rng = substream(f"rref/widths/{ncols}", trial)
+        # small entries in the first column, so its pivot clears with narrow multipliers; the
+        # rows the later pivots clear hold 30-digit entries, which make theirs wide
+        gaussian = trial % 2 == 0
+        basis = [
+            [x for c in range(ncols) for x in (_part(rng, c > 0), _part(rng, c > 0) * gaussian)]
+            for _ in range(ncols - 1)
+        ]
+        rows = basis + [[2 * x - y for x, y in zip(basis[0], basis[-1])]]
+        rng.shuffle(rows)
+        wide.clear()
+        _reduced_like_the_oracle(rows, ncols)
+        assert True in wide and False in wide, trial
+
+
+@pytest.mark.parametrize("ncols", (16, 32))
+def test_tall_stacks_whose_rows_are_cleared_many_times(monkeypatch, ncols):
+    calls = _count_updates(monkeypatch)
+    # (Gaussian, 30-digit entries); big Gaussian entries at 32 take seconds on either kernel
+    kinds = [(True, False), (False, False), (False, True)] + [(True, True)] * (ncols < 32)
+    for trial, (gaussian, big) in enumerate(kinds):
+        rng = substream(f"rref/tall/{ncols}", trial)
+        rows = _rows(rng, ncols, ncols - 1, 3 * ncols, gaussian, big)
+        calls.clear()
+        assert len(_reduced_like_the_oracle(rows, ncols)) == ncols - 1
+        # every row below a pivot is cleared by it; the first rows, by most of the later pivots
+        back = sum(above for _, above in calls)
+        assert len(calls) - back > ncols * ncols and back > ncols * (ncols - 2) // 4
+
+
+ABSORPTION = dsl.parse_statement("x & (x | y) = x")
+
+
+def _largest_part(monkeypatch, dim, seed, eager=False) -> int:
+    """The largest part, in bits, that a row update returns in a one-trial check of absorption
+    at ``dim``; with ``eager``, the eager kernel's, which makes every updated row primitive."""
+    largest, clear = [0], linalg._clear
+
+    def recorded(*args):
+        out = clear(*args)
+        if eager:
+            out = linalg._primitive(out)
+        largest[0] = max(largest[0], max(map(abs, out)).bit_length())
+        return out
+
+    monkeypatch.setattr(linalg, "_clear", recorded)
+    report = dsl.check(ABSORPTION, dsl.SubspaceLattice(dim), trials=1, seed=seed)
+    monkeypatch.setattr(linalg, "_clear", clear)
+    assert report.counterexample is None
+    return largest[0]
+
+
+
+@pytest.mark.parametrize(("dim", "seed"), [(32, 0), (32, 1), (32, 2), (64, 0)])
+def test_rows_grow_no_more_than_the_eager_kernels(monkeypatch, dim, seed):
+    eager = _largest_part(monkeypatch, dim, seed, eager=True)
+    assert _largest_part(monkeypatch, dim, seed) <= 1.1 * eager
