@@ -201,20 +201,27 @@ class History(Record):
 
 def _validate_process(stages) -> bool:
     """Reject a malformed process before any walk, and return whether it is quantum; every
-    measurement and unitary must act on the prepared state's dimension."""
+    measurement and unitary must act on the prepared state's dimension.  No check of a
+    ``Measure`` reads its stage index, so each ``Measure`` object is checked once, where it
+    first appears."""
     if not stages:
         raise ValueError("a process needs at least one stage")
     if not isinstance(stages[0], (Prepare, ClassicalPrepare)):
         raise ValueError("a process must start with a preparation")
     quantum = isinstance(stages[0], Prepare)
     dim = stages[0].state.dim if quantum else None
+    checked = set()  # ids of the Measure objects checked so far; the stages pin them
     for idx, st in enumerate(stages):
+        if id(st) in checked:
+            continue
         if quantum and not isinstance(st, _QUANTUM_STAGES):
             raise ValueError("cannot mix classical stages into a quantum process")
         if not quantum and not isinstance(st, _CLASSICAL_STAGES):
             raise ValueError("cannot mix quantum stages into a classical process")
         if idx and isinstance(st, (Prepare, ClassicalPrepare)):
             raise ValueError(f"stage {idx}: preparation is only allowed first")
+        if isinstance(st, Measure):
+            checked.add(id(st))
         if isinstance(st, (Measure, ConditionalUnitary)):
             acts_on = st.observable.dim if isinstance(st, Measure) else st.matrix.ncols
             if acts_on != dim:
@@ -239,15 +246,19 @@ def run(stages) -> tuple:
     """Enumerate all branches; histories in depth-first outcome order.
 
     The walk keeps an explicit stack, so a process may have any number of
-    stages, and starts below stage 0, the preparation's one branch.  Within a
-    run equal TraceEntry objects are one object, shared by every history, and
-    each stage is worked out once per distinct entry before it, looked up by
-    that entry's identity, so a state is hashed only when it is new.  A quantum
-    history's Born weight, |C psi|^2 / |psi|^2 for the chain C of projectors
-    and unitaries that made its leaf (Lüders' rule in sequence), is formed
-    once per last-stage branch; a classical one is its kernel weights' product.
-    A preparation alone is one sure history.  Otherwise every history, its
-    parent's trace plus one entry, is made where the last stage branches.
+    stages, and starts below stage 0, the preparation's one branch.  A stage
+    that leaves one child is walked on in place; a frame is pushed only where
+    a branch splits.  Within a run equal states are one object, interned once
+    (the prepared state, each product computed, each classical point), so the
+    run's tables key on identities: equal TraceEntry objects are one object,
+    shared by every history; each stage is worked out once per distinct entry
+    before it; and each observable or unitary acts once per state.  A state is
+    hashed only when a product is computed.  A quantum history's Born weight,
+    |C psi|^2 / |psi|^2 for the chain C of projectors and unitaries that made
+    its leaf (Lüders' rule in sequence), is formed once per last-stage branch;
+    a classical one is its kernel weights' product.  A preparation alone is one
+    sure history.  Otherwise every history, its parent's trace plus one entry,
+    is made where the last stage branches.
     """
     stages = tuple(stages)
     quantum = _validate_process(stages)
@@ -256,67 +267,80 @@ def run(stages) -> tuple:
     if not last:
         return (History(Rational(1), (TraceEntry(0, "-", prepared),)),)
     histories = []
-    trace = []  # the entries of the branch being walked, one per stage so far
+    interned = {prepared: prepared}  # state -> the run's one object equal to it
     # id(entry for the stage before)[, condition applies] -> [(entry, weight)]: `entries` pins
     # each entry, and one stage's outcomes never share a nonzero state (orthogonal projectors)
     known = {}
-    entries = {}  # (stage, outcome, state) -> its one TraceEntry
-    products = {}  # (id(matrix), state) -> matrix @ state; the stages pin each matrix
+    entries = {}  # (stage, outcome, id(state)) -> its one TraceEntry; `interned` pins the state
+    # (id(observable or unitary), id(state)) -> its nonzero (outcome, state after) pairs
+    moves = {}
 
-    def entry_of(*fields):  # equal entries are one object, built once
-        entry = entries.get(fields)
+    def entry_of(idx, outcome, state):  # equal entries are one object, built once
+        key = (idx, outcome, id(state))
+        entry = entries.get(key)
         if entry is None:
-            entry = entries[fields] = TraceEntry(*fields)
+            entry = entries[key] = TraceEntry(idx, outcome, state)
         return entry
-
-    def apply(matrix, state):  # each Matrix @ Vector runs once per matrix and state
-        key = (id(matrix), state)
-        post = products.get(key)
-        if post is None:
-            post = products[key] = matrix @ state
-        return post
-
-    def quantum_child(idx, outcome, state):  # its weight is None, or its history's Born weight
-        return entry_of(idx, outcome, state), _norm_ratio(state, prepared) if idx == last else None
 
     # each frame: (stage to run next, probability, entry for the stage before it); a quantum
     # frame's probability is None until the last stage, whose children carry their Born weights
-    stack = [(1, None if quantum else Rational(1), entry_of(0, "-", prepared))]
-    while stack:
-        idx, probability, entry = stack.pop()
-        del trace[idx - 1 :]
-        trace.append(entry)
-        st, state = stages[idx], entry.state
+    stack = []
+    idx, probability, entry = 1, None if quantum else Rational(1), entry_of(0, "-", prepared)
+    trace = [entry]  # the entries of the branch being walked, one per stage so far
+    while True:
+        st = stages[idx]
         key = id(entry)
         if isinstance(st, ConditionalUnitary):
             key = (key, trace[st.condition.stage].outcome == st.condition.label)
         children = known.get(key)
         if children is None:
-            children = known[key] = []  # in outcome order
-            if isinstance(st, Measure):
-                for out in st.observable.outcomes:
-                    post = apply(out.projector, state)
-                    # P is a hermitian projector, so <psi, P psi> = |P psi|^2: zero iff P psi is
-                    if not post.is_zero():
-                        children.append(quantum_child(idx, out.label, post))
-            elif isinstance(st, ConditionalUnitary):
-                after = apply(st.matrix, state) if key[1] else state
-                children.append(quantum_child(idx, "-", after))
-            else:  # a ClassicalStep, the only classical stage after the preparation
+            state = entry.state
+            if isinstance(st, ClassicalStep):  # the only classical stage after the preparation
                 row = st.kernel.get(state)
                 if row is None:
                     raise ValueError(f"kernel has no transition row for point {_quote(state)}")
-                children.extend((entry_of(idx, target, target), p) for target, p in row if p != 0)
+                children = [(entry_of(idx, t, interned.setdefault(t, t)), p) for t, p in row if p]
+            else:
+                if isinstance(st, Measure):
+                    move = moves.get((id(st.observable), id(state)))
+                    if move is None:  # in outcome order
+                        move = moves[id(st.observable), id(state)] = []
+                        for out in st.observable.outcomes:
+                            post = out.projector @ state
+                            # <psi, P psi> = |P psi|^2 for a hermitian projector: zero iff P psi is
+                            if not post.is_zero():
+                                move.append((out.label, interned.setdefault(post, post)))
+                elif key[1]:  # a ConditionalUnitary whose condition holds
+                    move = moves.get((id(st.matrix), id(state)))
+                    if move is None:
+                        post = st.matrix @ state
+                        post = interned.setdefault(post, post)
+                        move = moves[id(st.matrix), id(state)] = (("-", post),)
+                else:
+                    move = (("-", state),)
+                children = []
+                for outcome, post in move:
+                    weight = _norm_ratio(post, prepared) if idx == last else None
+                    children.append((entry_of(idx, outcome, post), weight))
+            known[key] = children  # in outcome order
+        if len(children) == 1 and idx < last:  # walked on in place, with no frame
+            ((entry, weight),) = children
+            trace.append(entry)
+            probability = weight if probability is None else probability * weight
+            idx += 1
+            continue
         if idx == last:  # its children's histories are made here, in outcome order
             prefix = tuple(trace)
             for child, weight in children:
                 p = weight if probability is None else probability * weight
                 histories.append(History(p, prefix + (child,)))
-            continue
-        # pushed last-first, so the first outcome is walked first
-        for child, weight in reversed(children):
-            stack.append((idx + 1, weight if probability is None else probability * weight, child))
-    return tuple(histories)
+        else:  # pushed last-first, so the first outcome is walked first
+            for child, weight in reversed(children):
+                stack.append((idx + 1, weight if probability is None else probability * weight, child))
+        if not stack:
+            return tuple(histories)
+        idx, probability, entry = stack.pop()
+        trace[idx - 1 :] = (entry,)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 worked out each distinct (stage, state) once: it applies every projector
 and unitary on every branch and builds a new TraceEntry for each child, so
 histories share entries only along a common prefix.  ``_validate_process``
-is imported, not copied: both versions check a process the same way.
+is copied verbatim too, as it was before it checked each ``Measure`` object
+once: ``tests/test_process_oracle.py`` checks that both validators reject a
+malformed process with the same error.
 ``prob_of`` and ``holds_surely`` are the plain queries: one ``evaluate_in``
 per history, and one Rational addition per true history.
 ``tests/test_process_oracle.py`` checks that the current ``run`` gives the
@@ -14,7 +16,7 @@ every query answers the same as these.
 
 from operator import mul
 
-from ortholab.linalg import Rational
+from ortholab.linalg import Rational, _quote
 from ortholab.process import (
     ClassicalPrepare,
     ClassicalStep,
@@ -23,9 +25,46 @@ from ortholab.process import (
     Measure,
     Prepare,
     TraceEntry,
-    _validate_process,
+    _CLASSICAL_STAGES,
+    _QUANTUM_STAGES,
     evaluate_in,
 )
+
+
+def _validate_process(stages) -> bool:
+    """Reject a malformed process before any walk, and return whether it is quantum; every
+    measurement and unitary must act on the prepared state's dimension."""
+    if not stages:
+        raise ValueError("a process needs at least one stage")
+    if not isinstance(stages[0], (Prepare, ClassicalPrepare)):
+        raise ValueError("a process must start with a preparation")
+    quantum = isinstance(stages[0], Prepare)
+    dim = stages[0].state.dim if quantum else None
+    for idx, st in enumerate(stages):
+        if quantum and not isinstance(st, _QUANTUM_STAGES):
+            raise ValueError("cannot mix classical stages into a quantum process")
+        if not quantum and not isinstance(st, _CLASSICAL_STAGES):
+            raise ValueError("cannot mix quantum stages into a classical process")
+        if idx and isinstance(st, (Prepare, ClassicalPrepare)):
+            raise ValueError(f"stage {idx}: preparation is only allowed first")
+        if isinstance(st, (Measure, ConditionalUnitary)):
+            acts_on = st.observable.dim if isinstance(st, Measure) else st.matrix.ncols
+            if acts_on != dim:
+                raise ValueError(
+                    f"stage {idx} acts on dimension {acts_on}, the prepared state has {dim}"
+                )
+        if isinstance(st, ConditionalUnitary):
+            cond = st.condition
+            if not 0 <= cond.stage < idx:
+                raise ValueError(
+                    f"stage {idx} conditions on stage {cond.stage}, which is not earlier"
+                )
+            target = stages[cond.stage]
+            if not isinstance(target, Measure):
+                raise ValueError(f"stage {idx} conditions on stage {cond.stage}, not a measurement")
+            if cond.label not in target.observable.labels():
+                raise ValueError(f"stage {idx} conditions on unknown outcome {_quote(cond.label)}")
+    return quantum
 
 
 def run(stages) -> tuple:

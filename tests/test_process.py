@@ -275,6 +275,38 @@ class TestSharedWork:
             # equal entries are one object, so the distinct objects are the distinct entries
             assert len(calls) == len({id(entry) for h in histories for entry in h.trace})
 
+    def test_a_deeper_chain_of_repeated_measurements_hashes_no_more_states(self, monkeypatch):
+        calls, original = [], Vector.__hash__
+        monkeypatch.setattr(Vector, "__hash__", lambda v: calls.append(v) or original(v))
+        counts = []
+        for n in (1000, 2000):
+            calls.clear()
+            (history,) = run((Prepare(Z_UP),) + (Measure(spin_observable("z")),) * n)
+            assert (history.probability, len(history.trace)) == (1, n + 1)
+            counts.append(len(calls))
+        # the prepared state, interned, and the first z+ product, found equal to it: a state is
+        # hashed only when a product is computed, and the chain computes one pair of them
+        assert counts[0] == counts[1] <= 2
+
+    def test_a_chain_of_repeated_measurements_keeps_one_state_object(self):
+        z, x = Measure(spin_observable("z")), Measure(spin_observable("x"))
+        # each z+ product equals the prepared state, so it is the prepared object itself
+        (history,) = run((Prepare(Z_UP),) + (z,) * 1000)
+        assert all(t.state is Z_UP for t in history.trace)
+        for history in run((Prepare(Z_DOWN),) + (x,) * 500):
+            after = history.trace[1].state
+            assert all(t.state is after for t in history.trace[1:])
+
+    def test_each_measure_object_is_checked_once(self, monkeypatch):
+        reads, original = [], Observable.dim
+        counting = property(lambda obs: reads.append(obs) or original.fget(obs))
+        monkeypatch.setattr(Observable, "dim", counting)
+        z, other_z = Measure(spin_observable("z")), Measure(spin_observable("z"))
+        also_z = Measure(z.observable)  # another Measure object over the same observable
+        (history,) = run((Prepare(Z_UP),) + (z, also_z, z, other_z) * 250)
+        assert len(history.trace) == 1001
+        assert len(reads) == 3
+
 
 class TestLastStageHistories:
     def test_siblings_come_in_outcome_order_and_share_their_prefix(self):
