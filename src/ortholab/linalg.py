@@ -620,16 +620,17 @@ def _apply(rows, x) -> list:
 # in two CPython digits, whose products cost about what one-digit ones do,
 # the row keeps its content (the gcd of its parts); a wider p divides it out,
 # so integers stay near their primitive size.  A row is made primitive when
-# it becomes a pivot row (_echelon), and once after the back pass (_reduce).
+# it becomes a pivot row (_echelon), and once after the back pass (_back_pass).
 #
 # _reduce runs two passes.  The forward pass (_echelon) finds the pivots
-# and clears only the rows below each one; rank and inclusion need no
-# more.  When it finds a pivot in every column, the integer RREF is the
-# identity with zero rows after it, so the pass stops at that last pivot
-# and the identity is written.  Otherwise the back pass clears the rows
-# above each pivot in Gauss-Jordan's order, pivot 1 first, each with the
-# row the forward pass left, which is the row Gauss-Jordan clears with, so
-# every integer is the one a single Gauss-Jordan pass computes.
+# and clears only the rows below each one; rank, inclusion, and a meet or
+# join whose rank pins it to an operand need no more.  When it finds a
+# pivot in every column, the integer RREF is the identity with zero rows
+# after it, so the pass stops at that last pivot and the back pass
+# (_back_pass) writes the identity.  Otherwise the back pass clears the
+# rows above each pivot in Gauss-Jordan's order, pivot 1 first, each with
+# the row the forward pass left, which is the row Gauss-Jordan clears
+# with, so every integer is the one a single Gauss-Jordan pass computes.
 #
 # What _reduce leaves is the integer RREF: each nonzero row is its RREF
 # row times the least positive integer that makes every entry a Gaussian
@@ -703,18 +704,17 @@ def _echelon(rows, ncols) -> list:
     return pivot_cols
 
 
-def _reduce(rows, ncols) -> list:
-    """Reduce flattened integer rows to integer RREF in place; returns the pivot columns.  The
-    back pass leaves rows above the last pivot with their content, divided out at the end."""
-    pivot_cols = _echelon(rows, ncols)
+def _back_pass(rows, pivot_cols, ncols):
+    """Finish in place, as integer RREF, the rows ``_echelon`` left with pivots in ``pivot_cols``.
+    It leaves rows above the last pivot with their content, divided out at the end."""
     width = 2 * ncols
     if len(pivot_cols) == ncols:  # the identity, then zero rows
         for k in range(len(rows)):
             rows[k] = [0] * width
         for k in range(ncols):
             rows[k][2 * k] = 1
-        return pivot_cols
-    for i in range(1, len(pivot_cols)):  # the back pass: pivot i clears the rows above it
+        return
+    for i in range(1, len(pivot_cols)):  # pivot i clears the rows above it
         prow, cc = rows[i], 2 * pivot_cols[i]
         for k in range(i):
             row = rows[k]
@@ -722,6 +722,12 @@ def _reduce(rows, ncols) -> list:
                 rows[k] = _clear(row, prow, cc, width)
     for k in range(len(pivot_cols) - 1):
         rows[k] = _primitive(rows[k])
+
+
+def _reduce(rows, ncols) -> list:
+    """Reduce flattened integer rows to integer RREF in place; returns the pivot columns."""
+    pivot_cols = _echelon(rows, ncols)
+    _back_pass(rows, pivot_cols, ncols)
     return pivot_cols
 
 

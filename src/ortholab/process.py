@@ -324,9 +324,9 @@ def run(stages) -> tuple:
                     children.append((entry_of(idx, outcome, post), weight))
             known[key] = children  # in outcome order
         if len(children) == 1 and idx < last:  # walked on in place, with no frame
-            ((entry, weight),) = children
+            # its weight is None (quantum, before the last stage) or 1 (a row's one nonzero entry)
+            ((entry, _),) = children
             trace.append(entry)
-            probability = weight if probability is None else probability * weight
             idx += 1
             continue
         if idx == last:  # its children's histories are made here, in outcome order

@@ -97,10 +97,19 @@ def test_pair_operations_match_the_oracle(n, field):
     for s, t in product(pool, pool):
         ls, lt = _left(s), _left(t)
         m, j = meet(s, t), join(s, t)
-        # a meet comes back in the left form only from two left forms, a join in the right
-        # form only from two right forms
-        assert m._right is (s._right or t._right)
-        assert j._right is (s._right and t._right)
+        # a meet equal to an operand is that operand (s first), and so is a join (t first); a
+        # new meet comes back in the left form only from two left forms, a new join in the
+        # right form only from two right forms
+        expected = oracle.meet(ls, lt, n)
+        if expected in (ls, lt):
+            assert m is (s if expected == ls else t)
+        else:
+            assert m is not s and m is not t and m._right is (s._right or t._right)
+        expected = oracle.join(ls, lt, n)
+        if expected in (ls, lt):
+            assert j is (t if expected == lt else s)
+        else:
+            assert j is not s and j is not t and j._right is (s._right and t._right)
         assert m.rows == oracle.meet(ls, lt, n)
         assert j.rows == oracle.join(ls, lt, n)
         assert leq(s, t) is oracle.leq(ls, lt, n)

@@ -5,11 +5,12 @@ on every branch; ``run`` now works out each distinct (stage, state) once and
 shares equal entries between histories.  On random quantum processes and
 random classical chains both must give the same ``histories_to_json`` text,
 the same history order and probabilities of the same type, numerator and
-denominator, or raise the same error.  On both sets of histories ``prob_of``
-and ``holds_surely`` must answer as the oracle's plain queries do, ``prob_of``
-with the same type, numerator and denominator (classical chains give mixed
-denominators), and ``check_distributivity`` must answer the same, whether
-the histories come as a tuple or as a one-pass iterator.  Processes that
+denominator, or raise the same error.  Each process is run once by each
+walk and queried with one to three formula pairs: on both sets of histories
+``prob_of`` and ``holds_surely`` must answer as the oracle's plain queries
+do, ``prob_of`` with the same type, numerator and denominator (classical
+chains give mixed denominators), and ``check_distributivity`` must answer
+the same, whether the histories come as a tuple or as a one-pass iterator.  Processes that
 reuse one stage object at many stages get the same comparison: eigenstate
 chains of up to 1,500 stages, a repeated conditional unitary, and classical
 chains of single-target steps, whose lone children ``run`` walks in place.
@@ -19,6 +20,7 @@ objects both must raise the same error.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -130,23 +132,34 @@ def classical_processes(draw):
     return tuple(stages)
 
 
-def formulas(atoms):
-    return st.recursive(
-        st.sampled_from(atoms),
-        lambda sub: st.one_of(
-            st.tuples(sub, sub).map(lambda pair: pair[0] & pair[1]),
-            st.tuples(sub, sub).map(lambda pair: pair[0] | pair[1]),
-            sub.map(lambda f: ~f),
-        ),
-        max_leaves=5,
-    )
+def _formula(rng, atoms, leaves):
+    """A formula over ``atoms`` with at most ``leaves`` atoms: an atom, a negation, a meet or a
+    join, each chosen by ``rng``."""
+    kind = rng.randrange(4) if leaves > 1 else 0
+    if kind == 0:
+        return rng.choice(atoms)
+    if kind == 1:
+        return ~_formula(rng, atoms, leaves - 1)
+    split = rng.randint(1, leaves - 1)
+    left, right = _formula(rng, atoms, split), _formula(rng, atoms, leaves - split)
+    return left & right if kind == 2 else left | right
+
+
+def formula_pairs(atoms):
+    # one to three pairs per process, built from one drawn seed: hypothesis then spends its
+    # examples and mutations on processes, not on the formulas
+    def pairs(seed):
+        rng = random.Random(seed)
+        return [tuple(_formula(rng, atoms, 5) for _ in "lr") for _ in range(rng.randint(1, 3))]
+
+    return st.integers(0, 2**32 - 1).map(pairs)
 
 
 @st.composite
 def cases(draw, processes, tests):
     stages = draw(processes)
     atoms = [Atom(test, k) for test in tests for k in range(len(stages))]
-    return stages, draw(formulas(atoms)), draw(formulas(atoms))
+    return stages, draw(formula_pairs(atoms))
 
 
 def _exact(p):
@@ -157,7 +170,7 @@ def _probabilities(histories):
     return [_exact(h.probability) for h in histories]
 
 
-def _assert_same_as_oracle(stages, left, right):
+def _assert_same_as_oracle(stages, pairs):
     try:
         old = process_oracle.run(stages)
     except ValueError as exc:
@@ -170,19 +183,20 @@ def _assert_same_as_oracle(stages, left, right):
     outcomes = [[[t.outcome for t in h.trace] for h in side] for side in (new, old)]
     assert outcomes[0] == outcomes[1]
     assert _probabilities(new) == _probabilities(old)
-    for formula in (left, right):
-        want = process_oracle.prob_of(formula, old)
-        surely = process_oracle.holds_surely(formula, old)
+    for left, right in pairs:
+        for formula in (left, right):
+            want = process_oracle.prob_of(formula, old)
+            surely = process_oracle.holds_surely(formula, old)
+            for histories in (new, old):
+                got = prob_of(formula, histories)
+                assert _exact(got) == _exact(want)
+                assert _exact(prob_of(formula, iter(histories))) == _exact(want)
+                assert holds_surely(formula, histories) == surely
+                assert holds_surely(formula, iter(histories)) == surely
+        verdict = check_distributivity(left, right, old)
+        assert check_distributivity(left, right, new) == verdict
         for histories in (new, old):
-            got = prob_of(formula, histories)
-            assert _exact(got) == _exact(want)
-            assert _exact(prob_of(formula, iter(histories))) == _exact(want)
-            assert holds_surely(formula, histories) == surely
-            assert holds_surely(formula, iter(histories)) == surely
-    verdict = check_distributivity(left, right, old)
-    assert check_distributivity(left, right, new) == verdict
-    for histories in (new, old):
-        assert check_distributivity(left, right, iter(histories)) == verdict
+            assert check_distributivity(left, right, iter(histories)) == verdict
 
 
 @SETTINGS
@@ -201,9 +215,7 @@ def test_classical_runs_match_the_oracle(case):
 def test_demos_match_the_oracle(demo):
     stages, named = demo()
     atoms = list(named.values())
-    for left in atoms:
-        for right in atoms:
-            _assert_same_as_oracle(stages, left, right | ~left)
+    _assert_same_as_oracle(stages, [(left, right | ~left) for left in atoms for right in atoms])
 
 
 @pytest.mark.parametrize("stage", [Prepare(vec(2, "1+i")), ClassicalPrepare("p")])
@@ -283,7 +295,7 @@ def single_target_chains(draw):
 def chain_cases(draw, processes, tests):
     stages = draw(processes)
     atoms = [Atom(test, k) for test in tests for k in draw(stage_sample(len(stages)))]
-    return stages, draw(formulas(atoms)), draw(formulas(atoms))
+    return stages, draw(formula_pairs(atoms))
 
 
 @LONG_SETTINGS
