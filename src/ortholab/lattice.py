@@ -72,28 +72,26 @@ class Subspace:
     One forward pass decides a meet or join that its rank pins to an
     operand, which is returned itself, and a meet it pins to zero; any other
     costs the one reduction of a join.  ``rows`` reduces a right form on each
-    read, so that a Subspace never changes; ``hash`` reads ``rows`` on first
-    use and keeps the value.
+    read, so that a Subspace never changes; ``hash`` reads ``rows``.
 
     ``Subspace(space_dim, basis)`` is the row space of ``basis``: any
     spanning rows, reduced to the canonical form on construction.
     """
 
-    __slots__ = ("space_dim", "_rows", "_right", "_hash")
+    __slots__ = ("space_dim", "_rows", "_right")
 
     def __init__(self, space_dim: int, basis: Matrix):
         _check_space_dim(space_dim)
         if basis.ncols != space_dim:
             raise ValueError(f"basis width {basis.ncols} != space_dim {space_dim}")
         s = _canonical([list(row) for row in basis.parts], space_dim)
-        self.space_dim, self._rows, self._right, self._hash = space_dim, s._rows, False, None
+        self.space_dim, self._rows, self._right = space_dim, s._rows, False
 
     @classmethod
     def _from_rows(cls, space_dim: int, rows, right=False) -> "Subspace":
         # rows: the subspace's canonical integer rows, in the right form if right
         s = cls.__new__(cls)
         s.space_dim, s._rows, s._right = space_dim, tuple(tuple(row) for row in rows), right
-        s._hash = None
         return s
 
     @classmethod
@@ -156,9 +154,7 @@ class Subspace:
         return self.space_dim == other.space_dim and self._rows == other._rows
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.space_dim, self.rows))
-        return self._hash
+        return hash((self.space_dim, self.rows))
 
     def __repr__(self):
         rows = "; ".join(", ".join(str(e) for e in row) for row in self.basis.rows)

@@ -317,15 +317,14 @@ class Vector:
 
     A Vector is its entries flattened to Gaussian integers ``parts``
     (``re0, im0, re1, im1, ...``) over one positive denominator ``den``, with
-    ``gcd(den, *parts) == 1``.  That form is unique, so ``==`` reads it
-    directly, and ``hash`` reads it on first use and keeps the value.
-    ``entries``, the Scalars, is built on first use too.
+    ``gcd(den, *parts) == 1``.  That form is unique, so ``==`` and ``hash``
+    read it directly.  ``entries``, the Scalars, is built on first use.
     """
 
-    __slots__ = ("parts", "den", "_entries", "_hash")
+    __slots__ = ("parts", "den", "_entries")
 
     def __init__(self, entries):
-        self._entries, self._hash = tuple(_as_scalar(e) for e in entries), None
+        self._entries = tuple(_as_scalar(e) for e in entries)
         if not self._entries:
             raise ValueError("vectors must have positive dimension")
         parts, self.den = _integer_row(self._entries)
@@ -374,9 +373,7 @@ class Vector:
         return self.den == other.den and self.parts == other.parts
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.den, self.parts))
-        return self._hash
+        return hash((self.den, self.parts))
 
     def __repr__(self):
         return f"vec({', '.join(repr(str(e)) for e in self.entries)})"
@@ -390,7 +387,7 @@ def _vector(parts, den: int) -> Vector:
     v = Vector.__new__(Vector)
     v.parts = tuple(x // g for x in parts) if g > 1 else tuple(parts)
     v.den = den // g
-    v._entries = v._hash = None
+    v._entries = None
     return v
 
 

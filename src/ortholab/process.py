@@ -93,7 +93,8 @@ class Observable(Record):
     trust them.  They imply pairwise orthogonality: for ``v = P_k v``,
     ``|v|^2 = sum_i <v, P_i v> = |v|^2 + sum_{i != k} |P_i v|^2``, as
     ``<v, P_i v> = |P_i v|^2`` for a hermitian idempotent, so ``P_i v = 0``
-    for every ``i != k``, that is ``P_i P_k = 0``.
+    for every ``i != k``, that is ``P_i P_k = 0``.  Outcome labels must be
+    distinct: a condition or a query names an outcome by its label.
     """
 
     name: str
@@ -104,8 +105,13 @@ class Observable(Record):
         if not self.outcomes:
             raise ValueError(f"observable {_quote(self.name)} has no outcomes")
         dim = self.outcomes[0].projector.ncols
-        total = None
+        total, labels = None, set()
         for out in self.outcomes:
+            if out.label in labels:
+                raise ValueError(
+                    f"observable {_quote(self.name)} has two outcomes labelled {_quote(out.label)}"
+                )
+            labels.add(out.label)
             p = out.projector
             if p.nrows != dim or p.ncols != dim:
                 raise ValueError(f"projector {_quote(out.label)} is not {dim}x{dim}")
@@ -158,7 +164,7 @@ class ClassicalPrepare(Record):
 
 
 class ClassicalStep(Record):
-    """Stochastic transition: maps a sample point to weighted successors."""
+    """Stochastic transition: maps a sample point to weighted successors, each named once."""
 
     kernel: MappingProxyType
 
@@ -168,6 +174,13 @@ class ClassicalStep(Record):
             row = tuple(
                 (str(target), _to_rational(p, "probabilities")) for target, p in transitions
             )
+            targets = set()
+            for target, _ in row:
+                if target in targets:
+                    raise ValueError(
+                        f"kernel row {_quote(source)} names target {_quote(target)} twice"
+                    )
+                targets.add(target)
             if any(p < 0 for _, p in row):
                 raise ValueError(f"negative probability in kernel row {_quote(source)}")
             total = sum((p for _, p in row), Rational(0))
@@ -252,13 +265,14 @@ def run(stages) -> tuple:
     (the prepared state, each product computed, each classical point), so the
     run's tables key on identities: equal TraceEntry objects are one object,
     shared by every history; each stage is worked out once per distinct entry
-    before it; and each observable or unitary acts once per state.  A state is
-    hashed only when a product is computed.  A quantum history's Born weight,
-    |C psi|^2 / |psi|^2 for the chain C of projectors and unitaries that made
-    its leaf (Lüders' rule in sequence), is formed once per last-stage branch;
-    a classical one is its kernel weights' product.  A preparation alone is one
-    sure history.  Otherwise every history, its parent's trace plus one entry,
-    is made where the last stage branches.
+    before it; each observable acts once per state, and each unitary once per
+    entry.  A state is hashed only when a product is computed.  A quantum
+    history's Born weight, |C psi|^2 / |psi|^2 for the chain C of projectors
+    and unitaries that made its leaf (Lüders' rule in sequence), is formed
+    once per last-stage branch; a classical one is its kernel weights'
+    product.  A preparation alone is one sure history.  Otherwise every
+    history, its parent's trace plus one entry, is made where the last stage
+    branches.
     """
     stages = tuple(stages)
     quantum = _validate_process(stages)
@@ -272,7 +286,7 @@ def run(stages) -> tuple:
     # each entry, and one stage's outcomes never share a nonzero state (orthogonal projectors)
     known = {}
     entries = {}  # (stage, outcome, id(state)) -> its one TraceEntry; `interned` pins the state
-    # (id(observable or unitary), id(state)) -> its nonzero (outcome, state after) pairs
+    # (id(observable), id(state)) -> its nonzero (outcome, state after) pairs; measurements only
     moves = {}
 
     def entry_of(idx, outcome, state):  # equal entries are one object, built once
@@ -311,11 +325,8 @@ def run(stages) -> tuple:
                             if not post.is_zero():
                                 move.append((out.label, interned.setdefault(post, post)))
                 elif key[1]:  # a ConditionalUnitary whose condition holds
-                    move = moves.get((id(st.matrix), id(state)))
-                    if move is None:
-                        post = st.matrix @ state
-                        post = interned.setdefault(post, post)
-                        move = moves[id(st.matrix), id(state)] = (("-", post),)
+                    post = st.matrix @ state
+                    move = (("-", interned.setdefault(post, post)),)
                 else:
                     move = (("-", state),)
                 children = []

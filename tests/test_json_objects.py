@@ -290,11 +290,16 @@ def test_a_classical_state_check_names_its_path(data, message):
         (spin_demo, (0, "state"), ["0", "0"], "process/0: cannot prepare the zero vector"),
         (spin_demo, (1, "observable", "outcomes", 0, "projector"), S_X,
          "process/1/observable: projector 'y+' is not idempotent"),
+        (spin_demo, (1, "observable", "outcomes", 1, "label"), "y+",
+         "process/1/observable: observable 'S_y' has two outcomes labelled 'y+'"),
         (spin_demo, (2, "matrix"), S_X, "process/2: conditional stage needs a unitary matrix"),
         (hatch_demo, (1, "kernel", "p", 0, 1), "1/4",
          "process/1/kernel: kernel row 'p' sums to 3/4, not 1"),
+        (hatch_demo, (1, "kernel", "p", 1, 0), "q",
+         "process/1/kernel: kernel row 'p' names target 'q' twice"),
     ],
-    ids=["prepare", "observable", "conditional-unitary", "kernel"],
+    ids=["prepare", "observable", "observable-label", "conditional-unitary", "kernel",
+         "kernel-target"],
 )  # fmt: skip
 def test_a_stage_check_names_the_stage_path(demo, path, value, message):
     with pytest.raises(ValueError) as info:

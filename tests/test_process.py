@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import process_oracle
 from ortholab import process, span, vec
 from ortholab.lattice import substream
 from ortholab.linalg import Matrix, Rational, Vector, inner
@@ -43,6 +44,7 @@ from ortholab.propositions import (
 )
 from ortholab.propositions import FALSE as NEVER, TRUE as ALWAYS
 from ortholab.spin import (
+    PROJ_Z_DOWN,
     PROJ_Z_UP,
     SPIN_X,
     SPIN_Y,
@@ -94,6 +96,11 @@ class TestObservableValidation:
     def test_not_summing_to_identity_rejected(self):
         with pytest.raises(ValueError, match="identity"):
             Observable("partial", (Outcome("a", 1, PROJ_Z_UP),))
+
+    def test_two_outcomes_of_one_label_rejected(self):
+        with pytest.raises(ValueError) as info:
+            Observable("twice", (Outcome("a", 1, PROJ_Z_UP), Outcome("a", -1, PROJ_Z_DOWN)))
+        assert str(info.value) == "observable 'twice' has two outcomes labelled 'a'"
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError):
@@ -240,6 +247,40 @@ class TestSharedWork:
         assert {h.probability for h in histories} == {Fraction(1, 2**10)}
         assert len(calls) == len(set(calls))
         assert len(calls) < 200  # applying them on every branch takes 2,047 calls
+
+    def test_each_conditional_unitary_acts_once_per_entry(self, monkeypatch):
+        z, x, y = (Measure(spin_observable(axis)) for axis in "zxy")
+        phase = ConditionalUnitary(OutcomeIs(1, "z+"), Matrix.diagonal(1, "i"))
+        rotation = Matrix([["3/5", "-4/5"], ["4/5", "3/5"]])
+        turn = ConditionalUnitary(OutcomeIs(1, "x+"), rotation)
+        turn_on_z = ConditionalUnitary(OutcomeIs(2, "z+"), rotation)
+        cases = (
+            (Prepare(Z_UP), z) + (phase, z) * 50,  # the phase keeps z-up: one state, 50 entries
+            (Prepare(Z_UP), x, turn, z, turn, y, turn, x, turn),
+            # x+ z+ and x- z+ reach one entry, so each turn acts once for two branches
+            (Prepare(Z_UP), x, z, turn_on_z, y, turn_on_z),
+            _alternating(8),
+        )
+        calls = _count_matmul(monkeypatch)
+        applied = []
+        for stages in cases:
+            calls.clear()
+            histories = run(stages)
+            unitaries = {k: st for k, st in enumerate(stages) if isinstance(st, ConditionalUnitary)}
+            matrices = {id(st.matrix) for st in unitaries.values()}
+            # the distinct entries before a unitary's stage on branches where its condition holds
+            holds = {
+                id(h.trace[k - 1])
+                for h in histories
+                for k, st in unitaries.items()
+                if h.trace[st.condition.stage].outcome == st.condition.label
+            }
+            applied.append(sum(matrix in matrices for matrix, _ in calls))
+            assert applied[-1] == len(holds)
+            expected = process_oracle.run(stages)
+            assert histories_to_json(histories) == histories_to_json(expected)
+            assert [h.probability for h in histories] == [h.probability for h in expected]
+        assert applied[0] == 50
 
     def test_the_walk_hashes_no_state_per_frame(self, monkeypatch):
         calls, original = [], Vector.__hash__
@@ -427,6 +468,15 @@ class TestProcessValidation:
             ClassicalStep({"p": (("q", HALF), ("r", Fraction(1, 3)))})
         with pytest.raises(ValueError, match="negative"):
             ClassicalStep({"p": (("q", Fraction(3, 2)), ("r", Fraction(-1, 2)))})
+
+    def test_a_kernel_row_naming_one_target_twice_is_rejected(self):
+        kernel = {"p": (("q", HALF), ("q", HALF)), "q": (("q", Rational(1)),)}
+        with pytest.raises(ValueError) as info:
+            ClassicalStep(kernel)
+        assert str(info.value) == "kernel row 'p' names target 'q' twice"
+        with pytest.raises(ValueError) as info:  # checked before the row's sum
+            ClassicalStep({"p": (("q", HALF), ("q", HALF), ("r", HALF))})
+        assert str(info.value) == "kernel row 'p' names target 'q' twice"
 
     def test_missing_kernel_row(self):
         step = ClassicalStep({"q": (("q", Rational(1)),)})
