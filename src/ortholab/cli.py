@@ -37,10 +37,20 @@ def _read_input(inputs: dict, key: str, path: str) -> str:
 
 def _read_json(inputs: dict, key: str, path: str):
     """Read a JSON input as a reader whose paths start at ``key``, its ``inputs`` key; an
-    over-long integer is reported in the scalar grammar's words."""
-    from .linalg import _digit_run, _JsonAt
+    over-long integer is reported in the scalar grammar's words, and an object naming one
+    member twice is refused (RFC 8259 leaves its meaning open)."""
+    from .linalg import _digit_run, _JsonAt, _quote
 
-    return _JsonAt(json.loads(_read_input(inputs, key, path), parse_int=_digit_run), key)
+    def members(pairs):
+        obj = {}
+        for name, value in pairs:
+            if name in obj:
+                raise ValueError(f"{key}: duplicate key {_quote(name)}")
+            obj[name] = value
+        return obj
+
+    text = _read_input(inputs, key, path)
+    return _JsonAt(json.loads(text, parse_int=_digit_run, object_pairs_hook=members), key)
 
 
 # The (left, connective, right) combinations of a process demo's named atoms

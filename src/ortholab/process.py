@@ -162,15 +162,22 @@ class ConditionalUnitary(Record):
 class ClassicalPrepare(Record):
     point: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "point", str(self.point))
+
 
 class ClassicalStep(Record):
-    """Stochastic transition: maps a sample point to weighted successors, each named once."""
+    """Stochastic transition: maps a sample point to weighted successors, each named once.
+
+    Points are named by their ``str``, so two sources that print alike are refused."""
 
     kernel: MappingProxyType
 
     def __post_init__(self):
         normalized = {}
         for source, transitions in self.kernel.items():
+            if str(source) in normalized:
+                raise ValueError(f"kernel names source {_quote(str(source))} twice")
             row = tuple(
                 (str(target), _to_rational(p, "probabilities")) for target, p in transitions
             )
@@ -364,6 +371,9 @@ class PointIs(Record):
 
     point: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "point", str(self.point))
+
 
 class Atom(Proposition):
     """A predicate evaluated on the state after ``stage`` in each history."""
@@ -374,29 +384,11 @@ class Atom(Proposition):
 
 def evaluate_in(formula: Proposition, history: History) -> bool:
     """Truth value of a stage-indexed formula in one history."""
-    return _evaluate(formula, history, {})
-
-
-def _evaluate(formula, history, memo):
-    """``evaluate_in`` with a ``memo`` dict: each atom is evaluated once per trace entry.
-
-    ``memo`` is keyed on ``(id(atom), id(entry))``: ``run`` makes equal
-    TraceEntries one object, so an atom is evaluated once per distinct
-    entry.  Each value pins its entry, so an id cannot be reused while the
-    memo lives.  The queries walk a formula once per distinct tuple of
-    entries at its stages (``_truth_values``).
-    """
 
     def leaf(atom):
         if not isinstance(atom, Atom):
             raise TypeError(f"not a formula node: {atom!r}")
-        state = history.state_at(atom.stage)
-        entry = history.trace[atom.stage]
-        key = (id(atom), id(entry))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (entry, _atom_holds(atom, state))
-        return hit[1]
+        return _atom_holds(atom, history.state_at(atom.stage))
 
     return truth(formula, leaf)
 
@@ -411,17 +403,19 @@ def _atom_holds(atom: Atom, state) -> bool:
     return evaluate(atom.test, state)
 
 
-def _truth_values(formula, histories, memo):
+def _truth_values(formula, histories):
     """Yield each history's truth value lazily, one walk per distinct tuple of trace entries.
 
     The value depends only on the entries at ``formula_stages(formula)``, so a history's key
-    is the tuple of those entries' ids (``()`` for a formula with no stages).  C iterators
-    make the keys: one column ``map(id, map(itemgetter(s), traces))`` per stage, zipped over
-    a ``tee`` of the input, so no Python code runs per history to make one.  (CPython 3.12+
-    inlines comprehensions, PEP 709, so a per-history one costs less there and this gains
-    less.)  A key's value is kept beside a history holding its entries, which pins their ids.
-    An ``IndexError`` from the columns marks the next history as too short for a stage: it
-    is walked on its own, so ``state_at`` raises if it must, and the columns restart after it.
+    is the tuple of those entries' ids (``()`` for a formula with no stages): ``run`` makes
+    equal TraceEntries one object, so ``evaluate_in`` walks each distinct tuple of entries
+    once.  C iterators make the keys: one column ``map(id, map(itemgetter(s), traces))`` per
+    stage, zipped over a ``tee`` of the input, so no Python code runs per history to make
+    one.  (CPython 3.12+ inlines comprehensions, PEP 709, so a per-history one costs less
+    there and this gains less.)  A key's value is kept beside a history holding its entries,
+    which pins their ids.  An ``IndexError`` from the columns marks the next history as too
+    short for a stage: it is walked on its own, so ``state_at`` raises if it must, and the
+    columns restart after it.
     """
     stages = tuple(formula_stages(formula))
     walked = {}  # tuple of id(entry) at the formula's stages -> (a history with them, value)
@@ -448,16 +442,16 @@ def _truth_values(formula, histories, memo):
                     raise
                 break
             # outside the try, so an IndexError of the walk's own is not taken for a short history
-            hit = walked[key] = (h, _evaluate(formula, h, memo))
+            hit = walked[key] = (h, evaluate_in(formula, h))
             yield hit[1]
-        yield _evaluate(formula, short, memo)
+        yield evaluate_in(formula, short)
 
 
 def holds_surely(formula: Proposition, histories) -> bool:
     """True iff the formula holds in every history given; ``run`` gives none of probability 0.
 
     No history after the first false one is read."""
-    return all(_truth_values(formula, histories, {}))
+    return all(_truth_values(formula, histories))
 
 
 def prob_of(formula: Proposition, histories):
@@ -470,7 +464,7 @@ def prob_of(formula: Proposition, histories):
     """
     histories, again = tee(histories)
     numerators = {}  # denominator -> sum of the true histories' numerators over it
-    for p in compress(map(attrgetter("probability"), again), _truth_values(formula, histories, {})):
+    for p in compress(map(attrgetter("probability"), again), _truth_values(formula, histories)):
         numerators[p.denominator] = numerators.get(p.denominator, 0) + p.numerator
     return sum((Rational(n, d) for d, n in numerators.items()), Rational(0))
 
@@ -531,9 +525,8 @@ class DistributivityVerdict(Record):
 def check_distributivity(
     left: Proposition, right: Proposition, histories
 ) -> DistributivityVerdict:
-    memo = {}
     histories = tuple(histories)  # both sides walk it, so an iterator is read once
-    lvals, rvals = (tuple(_truth_values(f, histories, memo)) for f in (left, right))
+    lvals, rvals = (tuple(_truth_values(f, histories)) for f in (left, right))
     return DistributivityVerdict(
         left_true_in_all=all(lvals),
         left_false_in_all=not any(lvals),

@@ -581,6 +581,22 @@ class TestInputFiles:
         assert code == 2
         assert "utf-8" in err
 
+    def test_a_repeated_subspace_member_exit_two(self, capsys, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_text('{"space_dim": 2, "basis": [["1", "0"]], "basis": [["0", "1"]]}')
+        code, out, err = run_cli(capsys, "lattice", "ortho", str(a))
+        assert (code, out) == (2, "")
+        assert err == "ortholab: error: fileA: duplicate key 'basis'\n"
+
+    def test_a_repeated_member_deep_in_a_proposition_exit_two(self, capsys, tmp_path):
+        prop, state = tmp_path / "prop.json", tmp_path / "state.json"
+        subspace = '{"space_dim": 2, "space_dim": 2, "basis": [["1", "0"]]}'
+        prop.write_text(f'{{"type": "in_subspace", "subspace": {subspace}}}')
+        state.write_text(json.dumps({"state": ["1", "0"]}))
+        code, out, err = run_cli(capsys, "props", "eval", str(prop), str(state))
+        assert (code, out) == (2, "")
+        assert err == "ortholab: error: prop_file: duplicate key 'space_dim'\n"
+
 
 class TestVectorsAreJsonLists:
     """A vector, a basis row and a matrix row must be JSON lists, not strings of characters."""

@@ -483,6 +483,21 @@ class TestProcessValidation:
         with pytest.raises(ValueError, match="no transition row"):
             run((ClassicalPrepare("p"), step))
 
+    def test_two_sources_that_print_alike_are_rejected(self):
+        with pytest.raises(ValueError) as info:
+            ClassicalStep({1: (("a", Rational(1)),), "1": (("b", Rational(1)),)})
+        assert str(info.value) == "kernel names source '1' twice"
+
+    def test_points_are_named_by_their_str(self):
+        assert ClassicalPrepare(1) == ClassicalPrepare("1")
+        assert PointIs(2) == PointIs("2")
+        step = ClassicalStep({1: (("2", Rational(1)),), "2": (("2", Rational(1)),)})
+        histories = run((ClassicalPrepare(1), step))
+        assert [h.trace[0].state for h in histories] == ["1"]
+        for point in (2, "2"):
+            assert prob_of(Atom(PointIs(point), 1), histories) == 1
+        assert holds_surely(Atom(PointIs(1), 0), histories)
+
 
 class TestFormulas:
     def test_outcome_disjunction_is_sure_after_measurement(self, spin):
@@ -702,10 +717,9 @@ class TestJson:
 
 
 # ---------------------------------------------------------------------------
-# The queries' per-call atom memo.  prob_of, holds_surely and
-# check_distributivity evaluate each atom once per distinct trace entry;
-# every answer must equal the one evaluate_in gives history by history, with
-# no memo.
+# The queries against evaluate_in.  Every answer of prob_of, holds_surely
+# and check_distributivity must equal the one evaluate_in gives, applied
+# history by history.
 # ---------------------------------------------------------------------------
 
 
@@ -758,7 +772,7 @@ def _random_quantum_process(rng):
     return tuple(stages)
 
 
-class TestQueryMemoOnRunOutput:
+class TestQueriesMatchEvaluateInOnRunOutput:
     def test_random_formulas_on_random_processes(self):
         tests = _quantum_tests()
         for trial in range(30):
@@ -782,7 +796,7 @@ class TestQueryMemoOnRunOutput:
                 right = _random_formula(rng, atoms, 3)
                 _assert_queries_match_oracle(left, right, histories)
 
-    def test_each_atom_is_evaluated_once_per_distinct_entry(self, monkeypatch):
+    def test_a_one_stage_formula_is_walked_once_per_distinct_entry(self, monkeypatch):
         histories = run(THREE_MEASUREMENTS)
         calls = []
 
@@ -801,7 +815,7 @@ class TestQueryMemoOnRunOutput:
         assert len(calls) == 1
 
 
-class TestQueryMemoOnHandBuiltHistories:
+class TestQueriesMatchEvaluateInOnHandBuiltHistories:
     def test_equal_entries_that_are_distinct_objects(self):
         def prefix():
             return (TraceEntry(0, "-", vec(1, 1)),)
@@ -834,7 +848,7 @@ class TestQueryMemoOnHandBuiltHistories:
         assert prob_of(at_q, histories) == HALF
 
 
-class TestQueryMemoWithSharedAtoms:
+class TestQueriesMatchEvaluateInWithSharedAtoms:
     def test_one_atom_on_both_sides_of_differing_sides(self, spin):
         _, f, histories = spin
         a, b = f["q_o"], f["p_f"]
