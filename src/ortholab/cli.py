@@ -211,10 +211,8 @@ def _render_text(value, indent: int = 0) -> list:
     pad = "  " * indent
     if isinstance(value, dict):
         items = [(f"{key}:", value[key]) for key in sorted(value)]
-    elif isinstance(value, list):
-        items = [("-", item) for item in value]
     else:
-        return [f"{pad}{_atom_text(value)}"]
+        items = [("-", item) for item in value]
     lines = []
     for head, item in items:
         if isinstance(item, (dict, list)):

@@ -29,7 +29,6 @@ from .linalg import (
     vector_to_json,
 )
 from .lattice import Subspace, subspace_from_json, subspace_to_json
-from .spin import SPIN_Y
 
 __all__ = [
     "Interval",
@@ -254,6 +253,8 @@ def is_subspace_closed(prop: Proposition, probe_states) -> bool:
 
 def spin_bound_witness(state: Vector):
     """Expectation of y-spin for a 2-dim state; bounded by +-1/2 exactly."""
+    from .spin import SPIN_Y
+
     if state.dim != 2:
         raise ValueError("spin_bound_witness needs a 2-dimensional state")
     return expectation(SPIN_Y, state)

@@ -132,6 +132,13 @@ MUTANTS = (
         PROCESS_TESTS,
     ),
     (
+        "prob_of keeps only its first denominator group",
+        PROCESS,
+        "for d, n in numerators.items()), Rational(0))",
+        "for d, n in list(numerators.items())[:1]), Rational(0))",
+        PROCESS_TESTS,
+    ),
+    (
         "validation marks every stage as checked",
         PROCESS,
         """        if isinstance(st, Measure):
@@ -177,6 +184,72 @@ MUTANTS = (
         "return _primitive(out) if p >> _WIDE else out",
         "return out",
         KERNEL_TESTS,
+    ),
+    (
+        "forward pass stops one pivot early",
+        LINALG,
+        "if r == ncols - 1:  # full rank",
+        "if r == ncols - 2:  # full rank",
+        KERNEL_TESTS,
+    ),
+    (
+        "back pass writes the identity at ncols - 1 pivots",
+        LINALG,
+        "if len(pivot_cols) == ncols:  # the identity",
+        "if len(pivot_cols) >= ncols - 1:  # the identity",
+        KERNEL_TESTS,
+    ),
+    (
+        "reduce without the back pass",
+        LINALG,
+        "    _back_pass(rows, pivot_cols, ncols)\n    return pivot_cols\n",
+        "    return pivot_cols\n",
+        KERNEL_TESTS,
+    ),
+    # Complements read off without elimination.
+    (
+        "read-off's imaginary sign flipped",
+        LINALG,
+        "out[2 * c + 1] = q * row[2 * free + 1]",
+        "out[2 * c + 1] = -q * row[2 * free + 1]",
+        KERNEL_TESTS,
+    ),
+    (
+        "read-off rows not made primitive",
+        LINALG,
+        "basis.append(_primitive(out))",
+        "basis.append(out)",
+        KERNEL_TESTS,
+    ),
+    (
+        "left-form complement not reversed",
+        LINALG,
+        "return basis if right else basis[::-1]",
+        "return basis",
+        LATTICE_TESTS,
+    ),
+    (
+        "rows returns the kept right form",
+        LATTICE,
+        """        if self._right:
+            return _canonical([list(row) for row in self._rows], self.space_dim)._rows
+        return self._rows""",
+        "        return self._rows",
+        LATTICE_TESTS,
+    ),
+    (
+        "hash of the kept rows",
+        LATTICE,
+        "return hash((self.space_dim, self.rows))",
+        "return hash((self.space_dim, self._rows))",
+        LATTICE_TESTS,
+    ),
+    (
+        "right forms joined without mirroring",
+        LATTICE,
+        "rows = [_mirror(row) if right else list(row) for row in stacked]",
+        "rows = [list(row) for row in stacked]",
+        LATTICE_TESTS,
     ),
     # Meets and joins decided by one forward pass's rank.
     (

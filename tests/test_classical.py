@@ -132,6 +132,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             PhaseSpace(("a", "a"))
 
+    def test_phase_space_needs_a_point(self):
+        with pytest.raises(ValueError, match="phase space needs at least one point"):
+            PhaseSpace(())
+
     def test_observable_needs_one_value_per_point(self):
         with pytest.raises(ValueError):
             MultiplicativeObservable(TWO_POINTS, (1,))

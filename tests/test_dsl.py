@@ -129,6 +129,10 @@ class TestPrinter:
         assert format_term(parse_term("x & (y | z)")) == "x & (y | z)"
         assert format_term(parse_term("(x & y) | z")) == "x & y | z"
 
+    def test_a_non_node_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not a term node: 'x'"):
+            format_term("x")
+
 
 BOOL3 = BooleanSetAlgebra(3)
 LAT2 = SubspaceLattice(2)
@@ -151,11 +155,19 @@ class TestEvalTerm:
         with pytest.raises(UnboundVariableError, match="'y'"):
             eval_term(parse_term("x & y"), {"x": frozenset()}, BOOL3)
 
+    def test_a_non_node_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not a term node: 'x'"):
+            eval_term("x", {"x": frozenset()}, BOOL3)
+
     def test_collect_variables(self):
         assert collect_variables(parse_term("x & (y | !x) | 0")) == {"x", "y"}
 
 
 class TestBooleanChecks:
+    def test_an_empty_universe_is_rejected(self):
+        with pytest.raises(ValueError, match="universe_size must be >= 1"):
+            BooleanSetAlgebra(0)
+
     @pytest.mark.parametrize("universe", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "statement",

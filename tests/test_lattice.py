@@ -237,6 +237,14 @@ class TestWitnessSearch:
         with pytest.raises(ValueError, match="distributive"):
             find_nondistributive_witness(1)
 
+    def test_zero_trials_is_an_error(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            find_nondistributive_witness(2, trials=0)
+
+    def test_no_witness_found_is_none(self):
+        # the one triple this seed draws in dimension 3 distributes
+        assert find_nondistributive_witness(3, trials=1, seed=13) is None
+
     def test_rational_real_field_also_fails_distributivity(self):
         witness = find_nondistributive_witness(2, trials=1000, seed=5, field=RATIONAL_REAL)
         assert witness is not None
@@ -265,6 +273,10 @@ class TestRandomSubspace:
     def test_dim1_rejected(self):
         with pytest.raises(ValueError):
             random_subspace(substream(0, 0), 1)
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown scalar field 'octonion'"):
+            random_subspace(substream(0, 0), 2, "octonion")
 
 
 class TestJson:

@@ -136,19 +136,28 @@ def test_demo_spin_loads_no_dsl(tmp_path):
     assert "ortholab.dsl" not in loaded
 
 
+# the exact ortholab modules each command loads: classical reads its expectation from linalg,
+# and propositions imports spin only inside spin_bound_witness
+PROCESS = ["cli", "lattice", "linalg", "process", "propositions", "spin"]
+
+
 @pytest.mark.parametrize(
-    "argv, exit_code",
+    "argv, exit_code, modules",
     [
-        (["demo", "spin"], 0),
-        (["demo", "hatch"], 0),
-        (["demo", "two-state"], 0),
-        (["check", "x & (y | z) = (x & y) | (x & z)", "--structure", "subspace"], 1),
-        (["props", "eval", "prop.json", "state.json"], 0),
-        (["lattice", "meet", "a.json", "a.json"], 0),
+        (["demo", "spin"], 0, PROCESS),
+        (["demo", "hatch"], 0, PROCESS),
+        (["demo", "two-state"], 0, ["classical", "cli", "lattice", "linalg"]),
+        (
+            ["check", "x & (y | z) = (x & y) | (x & z)", "--structure", "subspace"],
+            1,
+            ["cli", "dsl", "lattice", "linalg"],
+        ),
+        (["props", "eval", "prop.json", "state.json"], 0, ["cli", "lattice", "linalg", "propositions"]),
+        (["lattice", "meet", "a.json", "a.json"], 0, ["cli", "lattice", "linalg"]),
     ],
     ids=["demo-spin", "demo-hatch", "demo-two-state", "check", "props", "lattice"],
 )
-def test_no_command_loads_dataclasses_or_inspect(argv, exit_code, tmp_path):
+def test_no_command_loads_dataclasses_or_inspect(argv, exit_code, modules, tmp_path):
     # the records derive from linalg.Record; dataclasses would load inspect, ast and dis
     (tmp_path / "a.json").write_text(json.dumps({"space_dim": 2, "basis": [["1", "1"]]}))
     negation = {"type": "not", "child": {"type": "false"}}
@@ -158,6 +167,7 @@ def test_no_command_loads_dataclasses_or_inspect(argv, exit_code, tmp_path):
     code, loaded = loaded_after(argv, tmp_path)
     assert code == exit_code
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert [m.removeprefix("ortholab.") for m in loaded] == modules
 
 
 def test_deep_input_on_a_cold_interpreter(tmp_path):

@@ -151,6 +151,24 @@ class TestScalarField:
         with pytest.raises(ZeroDivisionError):
             Scalar(1) / Scalar(0)
 
+    def test_a_real_scalar_equals_and_hashes_like_its_rational(self):
+        for x in (0, 3, -2, Fraction(-1, 2), Fraction(7, 3)):
+            z = Scalar(x)
+            assert z == x and x == z and hash(z) == hash(x)
+        assert {Scalar(3): "three"}[3] == "three"
+        assert Scalar(1, 1) != 1 and Scalar(0, 1) != 0 and Scalar(2) != Fraction(1, 2)
+
+    def test_repr(self):
+        assert repr(Scalar("1/2", -1)) == "Scalar('1/2-i')"
+        assert repr(Scalar(3)) == "Scalar('3')"
+
+
+class TestVectorSequence:
+    def test_length_and_entries(self):
+        v = vec(1, "i", "-1/2")
+        assert len(v) == 3 and len(vec(0)) == 1
+        assert (v[0], v[1], v[-1]) == (Scalar(1), Scalar(0, 1), Scalar("-1/2"))
+
 
 class TestInner:
     def test_worked_values(self):
@@ -304,6 +322,20 @@ class TestMatrixOps:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             Matrix([[1, 0], [1]])
+
+    def test_sum_needs_equal_shapes(self):
+        row = Matrix([[1, 0]])
+        for other in (Matrix([[1], [0]]), Matrix([[1]]), Matrix([[1, 0], [0, 1]])):
+            with pytest.raises(ValueError, match="matrix shapes differ"):
+                row + other
+
+    def test_trace_needs_a_square_matrix(self):
+        with pytest.raises(ValueError, match="trace needs a square matrix"):
+            Matrix([[1, 0]]).trace()
+
+    def test_no_rows_cannot_be_transposed(self):
+        with pytest.raises(ValueError, match="cannot transpose a matrix with no rows"):
+            Matrix((), ncols=2).conj_transpose()
 
 
 class TestIntegerFormBound:

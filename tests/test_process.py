@@ -30,6 +30,7 @@ from ortholab.process import (
     run,
     spin_demo,
     spin_observable,
+    stage_to_json,
 )
 from ortholab.propositions import (
     And,
@@ -682,6 +683,10 @@ class TestJson:
         _, _, histories = hatch
         data = histories_to_json(histories)
         assert data[0]["trace"][1]["state"] == "q"
+
+    def test_a_non_stage_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unknown stage 'x'"):
+            stage_to_json("x")
 
     @pytest.mark.parametrize(
         "value, error, message",

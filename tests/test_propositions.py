@@ -264,3 +264,7 @@ class TestJson:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             proposition_from_json({"type": "xor"})
+
+    def test_a_non_node_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not a proposition node: 'x'"):
+            proposition_to_json("x")
