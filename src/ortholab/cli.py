@@ -215,7 +215,7 @@ def _render_text(value, indent: int = 0) -> list:
         items = [("-", item) for item in value]
     lines = []
     for head, item in items:
-        if isinstance(item, (dict, list)):
+        if isinstance(item, (dict, list)) and item:
             lines.append(f"{pad}{head}")
             lines.extend(_render_text(item, indent + 1))
         else:

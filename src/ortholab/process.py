@@ -33,7 +33,6 @@ from .linalg import (
     vector_from_json,
     vector_to_json,
 )
-from .lattice import span
 from .propositions import (
     And,
     ExpectationIn,
@@ -45,7 +44,6 @@ from .propositions import (
     evaluate,
     truth,
 )
-from . import spin
 
 __all__ = [
     "Outcome",
@@ -543,6 +541,7 @@ def check_distributivity(
 
 
 def spin_observable(axis: str) -> Observable:
+    from . import spin
     projs = {
         "x": (spin.PROJ_X_UP, spin.PROJ_X_DOWN),
         "y": (spin.PROJ_Y_UP, spin.PROJ_Y_DOWN),
@@ -569,6 +568,8 @@ def spin_demo():
     final stage 2.  The primed statements assert the y-spin expectation
     value is +-1/2 rather than asserting an eigenstate.
     """
+    from . import spin
+    from .lattice import span
     in_x_up = InSubspace(span([spin.X_UP], 2))
     in_y_up = InSubspace(span([spin.Y_UP], 2))
     in_y_down = InSubspace(span([spin.Y_DOWN], 2))

@@ -28,7 +28,6 @@ from .linalg import (
     vector_from_json,
     vector_to_json,
 )
-from .lattice import Subspace, subspace_from_json, subspace_to_json
 
 __all__ = [
     "Interval",
@@ -269,6 +268,7 @@ def proposition_to_json(prop: Proposition) -> dict:
     if isinstance(prop, Constant):
         return {"type": "true" if prop.value else "false"}
     if isinstance(prop, InSubspace):
+        from .lattice import subspace_to_json
         return {"type": "in_subspace", "subspace": subspace_to_json(prop.subspace)}
     if isinstance(prop, ExpectationIn):
         return {
@@ -295,6 +295,7 @@ def proposition_from_json(data) -> Proposition:
     if tag == "false":
         return FALSE
     if tag == "in_subspace":
+        from .lattice import subspace_from_json
         return InSubspace(subspace_from_json(data["subspace"]))
     if tag == "expectation_in":
         return ExpectationIn(

@@ -1,4 +1,5 @@
-"""Hand mutants of the kernel, the lattice operations and the process layer.
+"""Hand mutants of every layer: the kernel, the lattice operations, the predicates, the
+identity checker, the process layer and the command line.
 
 Each mutant replaces one exact text in one source file, and the test files
 named beside it must then fail.  For each mutant the script copies ``src/``,
@@ -31,6 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 LINALG = "src/ortholab/linalg.py"
 LATTICE = "src/ortholab/lattice.py"
 PROCESS = "src/ortholab/process.py"
+PROPOSITIONS = "src/ortholab/propositions.py"
+DSL = "src/ortholab/dsl.py"
+CLI = "src/ortholab/cli.py"
 
 KERNEL_TESTS = ("tests/test_rref_oracle.py",)
 LATTICE_TESTS = (
@@ -309,6 +313,164 @@ MUTANTS = (
         "return self.space_dim == other.space_dim and self.rows == other.rows",
         "return self.space_dim == other.space_dim and self.dim == other.dim",
         LATTICE_TESTS,
+    ),
+    # Wire input: JSON types, the scalar grammar and the dimension bound.
+    (
+        "a bool read as a JSON integer",
+        LINALG,
+        "if type(self.value) is not kind:",
+        "if not isinstance(self.value, kind):",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "any Unicode digit accepted",
+        LINALG,
+        '_TERM = re.compile(r"([+-]?)(?:i|([0-9]*)(?:/([0-9]*))?(i?))")',
+        '_TERM = re.compile(r"([+-]?)(?:i|(\\d*)(?:/(\\d*))?(i?))")',
+        ("tests/test_scalar_oracle.py", "tests/test_linalg.py"),
+    ),
+    (
+        "space_dim bound off by one",
+        LATTICE,
+        "if space_dim > MAX_INPUT_DIM:",
+        "if space_dim >= MAX_INPUT_DIM:",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "non-real Scalar hashed by identity",
+        LINALG,
+        "return hash((self.re, self.im))",
+        "return id(self)",
+        ("tests/test_linalg.py",),
+    ),
+    # The predicates.
+    (
+        "truth without the short circuit",
+        PROPOSITIONS,
+        "if bool(value) is decisive or i == len(children):",
+        "if i == len(children):",
+        ("tests/test_propositions.py", "tests/test_connectives.py", "tests/test_process.py"),
+    ),
+    (
+        "an open lower endpoint read as closed",
+        PROPOSITIONS,
+        "(x == self.lo and not self.lo_closed)",
+        "(x == self.lo and self.lo_closed)",
+        ("tests/test_propositions.py",),
+    ),
+    (
+        "evaluate accepts the zero state",
+        PROPOSITIONS,
+        """    if state.is_zero():
+        raise ValueError("propositions are evaluated on nonzero states only")
+""",
+        "",
+        ("tests/test_propositions.py",),
+    ),
+    (
+        "interval order not checked",
+        PROPOSITIONS,
+        """        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+            raise ValueError(f"interval endpoints out of order: {_cut(self.lo)} > {_cut(self.hi)}")
+""",
+        "",
+        ("tests/test_propositions.py",),
+    ),
+    # The identity checker.
+    (
+        "= decided by <=",
+        DSL,
+        "holds = operator.le if stmt.relation is Relation.LEQ else operator.eq",
+        "holds = operator.le",
+        ("tests/test_check_oracle.py", "tests/test_cli.py"),
+    ),
+    (
+        "exhaustive bound made strict",
+        DSL,
+        "<= _EXHAUSTIVE_BITS",
+        "< _EXHAUSTIVE_BITS",
+        ("tests/test_dsl.py",),
+    ),
+    (
+        "a holding check reports one trial too few",
+        DSL,
+        "return CheckReport(text, structure, mode, trial + 1, None)",
+        "return CheckReport(text, structure, mode, trial, None)",
+        ("tests/test_dsl.py", "tests/test_check_golden.py"),
+    ),
+    # Input checks of the process layer.
+    (
+        "a duplicate outcome label accepted",
+        PROCESS,
+        "if out.label in labels:",
+        "if False:",
+        PROCESS_TESTS[:1],
+    ),
+    (
+        "a duplicate kernel target accepted",
+        PROCESS,
+        "if target in targets:",
+        "if False:",
+        PROCESS_TESTS[:1],
+    ),
+    (
+        "a duplicate kernel source accepted",
+        PROCESS,
+        "if str(source) in normalized:",
+        "if False:",
+        PROCESS_TESTS[:1],
+    ),
+    (
+        "stage_mismatch inverted",
+        PROCESS,
+        "stage_mismatch=formula_stages(left) != formula_stages(right),",
+        "stage_mismatch=formula_stages(left) == formula_stages(right),",
+        PROCESS_TESTS[:1],
+    ),
+    (
+        "process imports spin at load",
+        PROCESS,
+        "    truth,\n)\n",
+        "    truth,\n)\nfrom . import spin\n",
+        ("tests/test_lazy_package.py",),
+    ),
+    # The command line.
+    (
+        "a statements file exits by any",
+        CLI,
+        "code = 0 if all(r.holds for r in reports) else 1",
+        "code = 0 if any(r.holds for r in reports) else 1",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "an internal error exits 1",
+        CLI,
+        """internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2""",
+        """internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1""",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "a duplicate JSON member kept",
+        CLI,
+        "if name in obj:",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "--dim and --trials bound off by one",
+        CLI,
+        "if value > limit:",
+        "if value >= limit:",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "text renders an empty container as a heading",
+        CLI,
+        "if isinstance(item, (dict, list)) and item:",
+        "if isinstance(item, (dict, list)):",
+        ("tests/test_cli.py",),
     ),
 )
 

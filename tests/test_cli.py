@@ -112,6 +112,19 @@ class TestDemoTwoState:
         assert "verdict: not distributive" in out
 
 
+class TestTextFormat:
+    def test_an_empty_list_and_an_empty_object_print_as_themselves(self, capsys, tmp_path):
+        x, y = tmp_path / "x.json", tmp_path / "y.json"
+        x.write_text(json.dumps({"space_dim": 3, "basis": [["1", "0", "0"]]}))
+        y.write_text(json.dumps({"space_dim": 3, "basis": [["0", "1", "0"]]}))
+        code, out, _ = run_cli(capsys, "lattice", "meet", str(x), str(y))
+        assert code == 0
+        assert "    basis: []" in out.splitlines()
+        code, out, _ = run_cli(capsys, "demo", "two-state")
+        assert code == 0
+        assert "inputs: {}" in out.splitlines()
+
+
 class TestLattice:
     def test_meet(self, capsys, subspace_files):
         a, b = subspace_files

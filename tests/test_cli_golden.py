@@ -79,15 +79,15 @@ GOLDEN = {
     "check-subspace": (1, "667928a82c9b02bd25d9f5092ab1ba19ca35433fa2cc388b97cb9ec854ae4dd7"),
     "check-subspace-constants": (0, "ca3b357fe038534e6b5256b07bdf6f705caae6ce691c3c98d54f719d43361807"),
     "check-subspace-dim3": (1, "2bea68fcbccc46b528649ccd8fb00e93bbbd8ab4c20a4f4e030e428d5b2ebdaf"),
-    "check-subspace-file-text": (1, "2b51cbd81b8b2e5129e6a84922e45e5862914e1ac084bb601ba6fcf402644ae2"),
+    "check-subspace-file-text": (1, "3f40cb032f63ff593822d6d3d8891023ddd58207f4a8501ecbd36b7eac93a2be"),
     "check-subspace-holds-text": (0, "78a3f1db660308d3f7dfeff8a85351295edf24fa55e02de446031e53dda58014"),
     "check-subspace-leq": (0, "73e4dd67eb04d236fe6af2f987777e497b3a0012228ab4cdfc60ed0a7ef450ff"),
     "demo-hatch": (0, "a06925e526ce3558d20f83bae599e8c8628d57f1400caf284e07294df0c77bbe"),
-    "demo-hatch-text": (0, "ac5ab33c16b3abba1a44ff1dc72f917eec2765f27f29a135bfee975fc0f0be89"),
+    "demo-hatch-text": (0, "e3370e94cea3acc0c925121aa9cbeb456221b80ea38fa7ca0adca526af38cf34"),
     "demo-spin": (0, "381b70aa69b3fb62fdfb6a6b23336f23a7742708b88a84c7aeff70e26d798203"),
-    "demo-spin-text": (0, "ff9eead346ac78979fd4aef60bab641ce75c745a9e3123460ae5e2f2eb29a900"),
+    "demo-spin-text": (0, "1f3844d3b157775f2aa280f1c601af45add5a6b9ac84bc821091811085e64920"),
     "demo-two-state": (0, "004255d1aedc138a675489688d5296c45c20ed39ae00091d929e39a806d1fdf9"),
-    "demo-two-state-text": (0, "45c53c2c7f78d435ae5f3bbd669c4534d801d494d4a465cd0be25e57f0ba6e9f"),
+    "demo-two-state-text": (0, "ac98534a515057b37f8cbebaf6a07a0a0b70b7d8d7542da50f82036d11f436a0"),
     "lattice-join": (0, "51ccdba5330b6cd256619ac47ff687db4a0d4a1f073fb4520ea7f6766ad6acfa"),
     "lattice-join-text": (0, "71c1f852b4f5958f5850c186c88634b3be6711e38bbe050a12897fa746a2cec6"),
     "lattice-leq": (0, "94fae86dc088e562ddc05c71cfba71a985aa78ef9a6d6f5df26b1141e53beb6f"),

@@ -137,7 +137,7 @@ def test_demo_spin_loads_no_dsl(tmp_path):
 
 
 # the exact ortholab modules each command loads: classical reads its expectation from linalg,
-# and propositions imports spin only inside spin_bound_witness
+# spin_demo imports spin and lattice, and propositions imports lattice only for in_subspace
 PROCESS = ["cli", "lattice", "linalg", "process", "propositions", "spin"]
 
 
@@ -145,17 +145,25 @@ PROCESS = ["cli", "lattice", "linalg", "process", "propositions", "spin"]
     "argv, exit_code, modules",
     [
         (["demo", "spin"], 0, PROCESS),
-        (["demo", "hatch"], 0, PROCESS),
+        (["demo", "hatch"], 0, ["cli", "linalg", "process", "propositions"]),
         (["demo", "two-state"], 0, ["classical", "cli", "lattice", "linalg"]),
         (
             ["check", "x & (y | z) = (x & y) | (x & z)", "--structure", "subspace"],
             1,
             ["cli", "dsl", "lattice", "linalg"],
         ),
-        (["props", "eval", "prop.json", "state.json"], 0, ["cli", "lattice", "linalg", "propositions"]),
+        (["props", "eval", "prop.json", "state.json"], 0, ["cli", "linalg", "propositions"]),
+        (
+            ["props", "eval", "in.json", "state.json"],
+            0,
+            ["cli", "lattice", "linalg", "propositions"],
+        ),
         (["lattice", "meet", "a.json", "a.json"], 0, ["cli", "lattice", "linalg"]),
     ],
-    ids=["demo-spin", "demo-hatch", "demo-two-state", "check", "props", "lattice"],
+    ids=[
+        "demo-spin", "demo-hatch", "demo-two-state", "check", "props", "props-in-subspace",
+        "lattice",
+    ],
 )
 def test_no_command_loads_dataclasses_or_inspect(argv, exit_code, modules, tmp_path):
     # the records derive from linalg.Record; dataclasses would load inspect, ast and dis
@@ -163,11 +171,36 @@ def test_no_command_loads_dataclasses_or_inspect(argv, exit_code, modules, tmp_p
     negation = {"type": "not", "child": {"type": "false"}}
     prop = {"type": "or", "children": [{"type": "true"}, negation]}
     (tmp_path / "prop.json").write_text(json.dumps(prop))
+    within = {"type": "in_subspace", "subspace": {"space_dim": 2, "basis": [["1", "i"]]}}
+    (tmp_path / "in.json").write_text(json.dumps(within))
     (tmp_path / "state.json").write_text(json.dumps({"state": ["1", "i"]}))
     code, loaded = loaded_after(argv, tmp_path)
     assert code == exit_code
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert [m.removeprefix("ortholab.") for m in loaded] == modules
+
+
+# the exact ortholab modules importing each module loads, itself included
+CLOSURES = {
+    "linalg": ["linalg"],
+    "lattice": ["lattice", "linalg"],
+    "propositions": ["linalg", "propositions"],
+    "process": ["linalg", "process", "propositions"],
+    "classical": ["classical", "lattice", "linalg"],
+    "dsl": ["dsl", "lattice", "linalg"],
+    "spin": ["linalg", "spin"],
+    "cli": ["cli"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURES))
+def test_each_module_loads_only_its_closure(name, tmp_path):
+    script = f"""
+import json, sys
+import ortholab.{name}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("ortholab."))))
+"""
+    assert fresh(script, tmp_path) == [f"ortholab.{m}" for m in CLOSURES[name]]
 
 
 def test_deep_input_on_a_cold_interpreter(tmp_path):

@@ -158,6 +158,12 @@ class TestScalarField:
         assert {Scalar(3): "three"}[3] == "three"
         assert Scalar(1, 1) != 1 and Scalar(0, 1) != 0 and Scalar(2) != Fraction(1, 2)
 
+    def test_a_non_real_scalar_hashes_by_its_value(self):
+        same = (Scalar(1, 2), parse_scalar("1+2i"), vec("1+2i")[0])
+        assert len({hash(z) for z in same}) == 1
+        assert len(set(same)) == 1
+        assert len({Scalar(1, 2), Scalar(1, -2)}) == 2
+
     def test_repr(self):
         assert repr(Scalar("1/2", -1)) == "Scalar('1/2-i')"
         assert repr(Scalar(3)) == "Scalar('3')"
